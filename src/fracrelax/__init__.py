@@ -7,7 +7,11 @@ schemes with stability bounds (solver), closed-form benchmark problems
 (problems), reference convergence tables (tables) and a CLI (fracrelax).
 """
 
+# Defined before the submodule imports: report reads it at import time.
+__version__ = "0.1.0"
+
 from .fracint import (
+    STARTUP_ZEROS,
     EndpointDerivatives,
     SchemeCoefficients,
     UniformGrid,
@@ -28,7 +32,6 @@ from .problems import (
 )
 from .report import ConvergenceReport, ConvergenceRow, empirical_order
 from .solver import (
-    SCHEMES,
     StabilityConstants,
     claim5_partial_sum_check,
     claim8_window_check,
@@ -41,7 +44,6 @@ from .solver import (
 from .specfun import (
     EULER_GAMMA,
     bernoulli_numbers,
-    bernoulli_polynomial,
     digamma,
     gamma,
     mittag_leffler,
@@ -50,8 +52,6 @@ from .specfun import (
 )
 from .tables import check_table, reproduce_table
 
-__version__ = "0.1.0"
-
 __all__ = [
     "__version__",
     "EULER_GAMMA",
@@ -59,12 +59,11 @@ __all__ = [
     "ConvergenceReport",
     "ConvergenceRow",
     "EndpointDerivatives",
-    "SCHEMES",
+    "STARTUP_ZEROS",
     "SchemeCoefficients",
     "StabilityConstants",
     "UniformGrid",
     "bernoulli_numbers",
-    "bernoulli_polynomial",
     "check_table",
     "claim5_partial_sum_check",
     "claim8_window_check",

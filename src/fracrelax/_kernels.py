@@ -1,55 +1,21 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""The explicit scheme recurrence, the hot O(n^2) kernel of every solve.
 
-The O(n^2) history convolution inside the time-stepping recurrence dominates
-the runtime of every convergence sweep.  Backend selection:
-
-* ``FRACRELAX_BACKEND=numba`` (default when numba imports) compiles the full
-  recurrence loop with ``@njit``.
-* ``FRACRELAX_BACKEND=numpy`` runs the same recurrence with per-step
-  ``np.dot`` history sums.
-
-Both paths use compensated accumulation (Kahan in the njit loop, pairwise
-summation inside ``np.dot``) so the two backends agree to a few ulps.
+The history convolution inside the time-stepping recurrence dominates the
+runtime of every convergence sweep.  Each step forms its history sum with
+``np.dot``.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(f):
-            return f
-
-        return wrap(args[0]) if args and callable(args[0]) else wrap
-
-
-_ENV_VAR = "FRACRELAX_BACKEND"
 
 
 def active_backend() -> str:
-    """Backend selected by the environment, re-read on every call."""
-    choice = os.environ.get(_ENV_VAR, "").strip().lower()
-    if choice == "numpy":
-        return "numpy"
-    if choice == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError("FRACRELAX_BACKEND=numba but numba is not importable")
-        return "numba"
-    if choice not in ("", "auto"):
-        raise ValueError(f"unknown {_ENV_VAR}={choice!r}")
-    return "numba" if HAVE_NUMBA else "numpy"
+    """Name of the recurrence implementation; there is a single numpy one."""
+    return "numpy"
 
 
-def recurrence_numpy(
+def recurrence(
     forcing: np.ndarray,
     weights: np.ndarray,
     corr: np.ndarray,
@@ -71,47 +37,3 @@ def recurrence_numpy(
             s += corr[j] * u[m - j]
         u[m] = (gamma_alpha * forcing[m] - h_alpha * s) / denom
     return u
-
-
-@njit(cache=True)
-def _recurrence_jit(forcing, weights, corr, startup_zeros, gamma_alpha, h_alpha):
-    n = forcing.shape[0] - 1
-    u = np.zeros(n + 1)
-    denom = gamma_alpha + corr[0] * h_alpha
-    for m in range(startup_zeros + 1, n + 1):
-        s = 0.0
-        comp = 0.0
-        for k in range(1, m):
-            term = u[m - k] * weights[k]
-            y = term - comp
-            t = s + y
-            comp = (t - s) - y
-            s = t
-        for j in range(1, corr.shape[0]):
-            s += corr[j] * u[m - j]
-        u[m] = (gamma_alpha * forcing[m] - h_alpha * s) / denom
-    return u
-
-
-def recurrence_numba(
-    forcing: np.ndarray,
-    weights: np.ndarray,
-    corr: np.ndarray,
-    startup_zeros: int,
-    gamma_alpha: float,
-    h_alpha: float,
-) -> np.ndarray:
-    return _recurrence_jit(forcing, weights, corr, startup_zeros, gamma_alpha, h_alpha)
-
-
-def recurrence(
-    forcing: np.ndarray,
-    weights: np.ndarray,
-    corr: np.ndarray,
-    startup_zeros: int,
-    gamma_alpha: float,
-    h_alpha: float,
-) -> np.ndarray:
-    """Dispatch the recurrence to the active backend."""
-    impl = recurrence_numba if active_backend() == "numba" else recurrence_numpy
-    return impl(forcing, weights, corr, startup_zeros, gamma_alpha, h_alpha)

@@ -24,9 +24,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .fracint import STARTUP_ZEROS, alpha_in_range
 from .problems import make_exp_problem, make_ml_problem, make_power_problem, residual_check
-from .report import ConvergenceReport, empirical_order
-from .solver import SCHEMES, max_error, solve
+from .report import ConvergenceReport, sweep
+from .solver import max_error, solve
 from .tables import TABLE_IDS, check_table, reproduce_table
 
 __all__ = ["main", "build_parser", "run_sweep", "emit_solution_curve"]
@@ -93,21 +94,13 @@ def run_sweep(problem, scheme: str, hs: list[float], check_residual: bool = True
         res = residual_check(problem, samples=8, n=1024)
         if res > 1e-6:
             raise ValueError(f"problem failed residual check: {res:.3e}")
-    skip = SCHEMES[scheme].startup_zeros
-    all_h = [2.0 * hs[0]] + hs
-    errs = []
-    for h in all_h:
-        n = round(problem.X / h)
-        u = solve(problem, scheme, n)
-        errs.append(max_error(u, problem.exact, skip=skip))
-    return ConvergenceReport.from_errors(
-        label=problem.label,
-        scheme=scheme,
-        alpha=problem.alpha,
-        hs=hs,
-        errors=errs[1:],
-        first_order=empirical_order(errs[0], errs[1]),
-    )
+    skip = STARTUP_ZEROS[scheme]
+
+    def error_at_h(h):
+        u = solve(problem, scheme, round(problem.X / h))
+        return max_error(u, problem.exact, skip=skip)
+
+    return sweep(error_at_h, hs, label=problem.label, scheme=scheme, alpha=problem.alpha)
 
 
 def emit_solution_curve(problem, schemes: list[str], h: float) -> str:
@@ -146,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--scheme", default="A,A1",
                            help="comma-separated scheme tags (default A,A1)")
         else:
-            p.add_argument("--scheme", choices=tuple(SCHEMES), default="A1")
+            p.add_argument("--scheme", choices=tuple(STARTUP_ZEROS), default="A1")
 
     p_sweep = sub.add_parser("sweep", help="convergence sweep over a list of steps")
     add_common(p_sweep)
@@ -198,6 +191,10 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     args = _apply_preset(args, parser, argv)
+    if not alpha_in_range(args.alpha):
+        parser.error(f"--alpha must lie in (0,1) or (1,2), got {args.alpha:g}")
+    if not args.X > 0.0:
+        parser.error(f"--X must be positive, got {args.X:g}")
 
     if args.command == "sweep":
         problem = _make_problem(args)
@@ -210,7 +207,7 @@ def main(argv: list[str] | None = None) -> int:
         problem = _make_problem(args)
         schemes = [tok.strip() for tok in args.scheme.split(",") if tok.strip()]
         for tag in schemes:
-            if tag not in SCHEMES:
+            if tag not in STARTUP_ZEROS:
                 parser.error(f"unknown scheme tag {tag!r}")
         _emit(emit_solution_curve(problem, schemes, args.h), out)
         return 0

@@ -10,8 +10,7 @@ kernel is singular) is omitted.
 from __future__ import annotations
 
 import math
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -22,17 +21,22 @@ __all__ = [
     "UniformGrid",
     "EndpointDerivatives",
     "SchemeCoefficients",
+    "STARTUP_ZEROS",
     "frac_integral_exact_power",
     "trapezoid_K",
     "corrected_trapezoid_K",
     "riemann_left_I",
+    "alpha_in_range",
     "scheme_coefficients",
     "corrected_sum_I",
     "sum_of_powers",
     "power_weights",
 ]
 
-ORDER_TAGS = ("A", "A1", "A2", "A3", "A4")
+# Scheme tags with the number of prescribed zero values beyond u_0 in each
+# matching time-stepping scheme (A3 prescribes u_1 = 0, A4 u_1 = u_2 = 0).
+STARTUP_ZEROS = {"A": 0, "A1": 0, "A2": 0, "A3": 1, "A4": 2}
+ORDER_TAGS = tuple(STARTUP_ZEROS)
 
 
 @dataclass(frozen=True)
@@ -87,24 +91,13 @@ class EndpointDerivatives:
             )
 
 
-# Cache of k^(alpha-1) weight arrays, grown on demand and shared across sweeps.
-_weight_cache: dict[float, np.ndarray] = {}
-_weight_lock = threading.Lock()
-
-
 def power_weights(alpha: float, n: int) -> np.ndarray:
     """Weights w_k = k^(alpha-1) for k = 0..n (w_0 set to 0)."""
-    with _weight_lock:
-        cached = _weight_cache.get(alpha)
-        if cached is None or cached.shape[0] < n + 1:
-            size = max(n + 1, 2 * cached.shape[0] if cached is not None else 0)
-            w = np.arange(size, dtype=float)
-            with np.errstate(divide="ignore"):
-                w = w ** (alpha - 1.0)
-            w[0] = 0.0
-            _weight_cache[alpha] = w
-            cached = w
-    return cached[: n + 1]
+    w = np.arange(n + 1, dtype=float)
+    with np.errstate(divide="ignore"):
+        w = w ** (alpha - 1.0)
+    w[0] = 0.0
+    return w
 
 
 def frac_integral_exact_power(p: float, alpha: float, x: float) -> float:
@@ -188,7 +181,6 @@ class SchemeCoefficients:
     alpha: float
     order_tag: str
     c: tuple[float, ...]
-    zeta_cache: tuple[float, float, float, float] = field(repr=False)
 
     @property
     def nominal_order(self) -> float:
@@ -196,11 +188,15 @@ class SchemeCoefficients:
 
     @property
     def startup_zeros(self) -> int:
-        # prescribed zero values beyond u_0 in the matching time-stepping scheme
-        return {"A": 0, "A1": 0, "A2": 0, "A3": 1, "A4": 2}[self.order_tag]
+        return STARTUP_ZEROS[self.order_tag]
 
     def corr_array(self) -> np.ndarray:
         return np.array(self.c if self.c else (0.0,), dtype=float)
+
+
+def alpha_in_range(alpha: float) -> bool:
+    """True when alpha lies in (0,1) or (1,2), where the schemes are defined."""
+    return 0.0 < alpha < 2.0 and alpha != 1.0
 
 
 def scheme_coefficients(alpha: float, order_tag: str) -> SchemeCoefficients:
@@ -212,13 +208,12 @@ def scheme_coefficients(alpha: float, order_tag: str) -> SchemeCoefficients:
     """
     if order_tag not in ORDER_TAGS:
         raise ValueError(f"order_tag must be one of {ORDER_TAGS}")
-    if not (0.0 < alpha < 2.0) or alpha == 1.0:
+    if not alpha_in_range(alpha):
         raise ValueError("alpha must lie in (0,1) or (1,2)")
     z1 = zeta(1.0 - alpha)
     z0 = zeta(-alpha)
     zm1 = zeta(-1.0 - alpha)
     zm2 = zeta(-2.0 - alpha)
-    cache = (z1, z0, zm1, zm2)
     if order_tag == "A":
         c: tuple[float, ...] = ()
     elif order_tag == "A1":
@@ -238,7 +233,7 @@ def scheme_coefficients(alpha: float, order_tag: str) -> SchemeCoefficients:
             1.5 * z0 - 2.0 * zm1 + 0.5 * zm2,
             -z0 / 3.0 + 0.5 * zm1 - zm2 / 6.0,
         )
-    return SchemeCoefficients(alpha=alpha, order_tag=order_tag, c=c, zeta_cache=cache)
+    return SchemeCoefficients(alpha=alpha, order_tag=order_tag, c=c)
 
 
 def corrected_sum_I(grid: UniformGrid, coeffs: SchemeCoefficients) -> float:

@@ -11,10 +11,11 @@ import datetime
 import json
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
-__version__ = "0.1.0"
+from . import __version__
 
-__all__ = ["ConvergenceRow", "ConvergenceReport", "empirical_order"]
+__all__ = ["ConvergenceRow", "ConvergenceReport", "empirical_order", "sweep"]
 
 
 def empirical_order(err_coarse: float, err_fine: float) -> float:
@@ -151,3 +152,18 @@ class ConvergenceReport:
         if fmt == "json":
             return self.to_json()
         raise ValueError(f"unknown format {fmt!r}")
+
+
+def sweep(error_at_h: Callable[[float], float], hs, **report_fields) -> ConvergenceReport:
+    """Convergence report over the decreasing steps hs.
+
+    error_at_h(h) is the error of one run at step h.  An extra run at step
+    2*hs[0], not itself reported, supplies the first row's empirical order.
+    report_fields (label, scheme, alpha, expected) pass to
+    ConvergenceReport.from_errors.
+    """
+    hs = list(hs)
+    errs = [error_at_h(h) for h in [2.0 * hs[0]] + hs]
+    return ConvergenceReport.from_errors(
+        hs=hs, errors=errs[1:], first_order=empirical_order(errs[0], errs[1]), **report_fields
+    )

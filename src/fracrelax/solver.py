@@ -2,8 +2,8 @@
 stability-bound evaluators that accompany them.
 
 Five schemes are available, tagged A, A1, A2, A3, A4 with nominal convergence
-orders alpha, 1+alpha, 2+alpha, 3+alpha, 4+alpha.  Each is an explicit causal
-recurrence; the O(n^2) history sum runs on the numba or numpy kernel backend.
+orders alpha, 1+alpha, 2+alpha, 3+alpha, 4+alpha.  Each is the same explicit
+causal recurrence (fracrelax._kernels) with its own end-correction weights.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ from .fracint import SchemeCoefficients, UniformGrid, power_weights, scheme_coef
 from .specfun import gamma
 
 __all__ = [
-    "SchemeKind",
-    "SCHEMES",
     "StabilityConstants",
     "solve",
     "solve_with_coefficients",
@@ -36,38 +34,14 @@ class DegenerateDenominatorError(ArithmeticError):
     """Gamma(alpha) + c_0 h^alpha vanished; the recurrence cannot be formed."""
 
 
-@dataclass(frozen=True)
-class SchemeKind:
-    """One of the five schemes; startup_zeros counts prescribed zero values
-    beyond u_0 (the A3 scheme prescribes u_0=u_1=0, A4 prescribes u_0=u_1=u_2=0).
-    """
-
-    tag: str
-    startup_zeros: int
-
-    def coefficients(self, alpha: float) -> SchemeCoefficients:
-        return scheme_coefficients(alpha, self.tag)
-
-
-SCHEMES: dict[str, SchemeKind] = {
-    "A": SchemeKind("A", 0),
-    "A1": SchemeKind("A1", 0),
-    "A2": SchemeKind("A2", 0),
-    "A3": SchemeKind("A3", 1),
-    "A4": SchemeKind("A4", 2),
-}
-
-
 def solve_with_coefficients(
     forcing: Callable,
     coeffs: SchemeCoefficients,
     n: int,
     X: float = 1.0,
-    startup_zeros: int | None = None,
 ) -> UniformGrid:
     """Run the explicit recurrence with an arbitrary coefficient set."""
-    if startup_zeros is None:
-        startup_zeros = coeffs.startup_zeros
+    startup_zeros = coeffs.startup_zeros
     if n < startup_zeros + 2:
         raise ValueError(f"n={n} too small for startup_zeros={startup_zeros}")
     alpha = coeffs.alpha
@@ -81,21 +55,18 @@ def solve_with_coefficients(
         )
     x = np.linspace(0.0, X, n + 1)
     F = np.asarray(forcing(x), dtype=float)
-    w = power_weights(alpha, n).copy()
+    w = power_weights(alpha, n)
     u = _kernels.recurrence(F, w, corr, startup_zeros, gam, h_alpha)
     return UniformGrid(X=X, n=n, values=u)
 
 
-def solve(problem, scheme: SchemeKind | str, n: int) -> UniformGrid:
+def solve(problem, scheme: str, n: int) -> UniformGrid:
     """Numerical solution u_0..u_n of problem.forcing's integral equation on
-    [0, problem.X]; u_0 = 0 and the scheme's startup values are prescribed zero.
+    [0, problem.X] by the scheme with tag `scheme` (one of fracint.ORDER_TAGS);
+    u_0 = 0 and the scheme's startup values are prescribed zero.
     """
-    if isinstance(scheme, str):
-        scheme = SCHEMES[scheme]
-    coeffs = scheme.coefficients(problem.alpha)
-    return solve_with_coefficients(
-        problem.forcing, coeffs, n, X=problem.X, startup_zeros=scheme.startup_zeros
-    )
+    coeffs = scheme_coefficients(problem.alpha, scheme)
+    return solve_with_coefficients(problem.forcing, coeffs, n, X=problem.X)
 
 
 def max_error(numeric: UniformGrid, exact: Callable, skip: int = 0) -> float:

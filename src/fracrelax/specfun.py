@@ -1,11 +1,9 @@
 """Real-argument special functions: Gamma, digamma, Riemann zeta, Bernoulli
-numbers and polynomials, the two-parameter Mittag-Leffler function and the
-polylogarithm.
+numbers, the two-parameter Mittag-Leffler function and the polylogarithm.
 
 All functions are pure and operate on ordinary Python floats.  Precomputed
-tables (Lanczos coefficients, Borwein weights, Bernoulli numbers) are built
-once at import time and never mutated, so every entry point is safe to call
-concurrently.
+tables (Lanczos coefficients, Borwein weights) are built once at import time
+and never mutated, so every entry point is safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ __all__ = [
     "digamma",
     "zeta",
     "bernoulli_numbers",
-    "bernoulli_polynomial",
     "mittag_leffler",
     "polylog",
 ]
@@ -163,7 +160,7 @@ def zeta(s: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Bernoulli numbers and polynomials
+# Bernoulli numbers
 # ---------------------------------------------------------------------------
 
 
@@ -209,19 +206,6 @@ def bernoulli_numbers(n_max: int, kind: str = "first") -> BernoulliTable:
     if kind == "second" and n_max >= 1:
         b[1] = -b[1]
     return BernoulliTable(kind=kind, values=tuple(b))
-
-
-_B_FIRST = bernoulli_numbers(_BERNOULLI_MAX, "first")
-
-
-def bernoulli_polynomial(n: int, x: float) -> float:
-    """Bernoulli polynomial B_n(x) = sum_k C(n,k) B_{n-k} x^k (first kind)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    acc = 0.0
-    for k in range(n + 1):
-        acc += math.comb(n, k) * float(_B_FIRST[n - k]) * x**k
-    return acc
 
 
 # ---------------------------------------------------------------------------

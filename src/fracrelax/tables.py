@@ -22,10 +22,10 @@ from typing import Callable
 
 import numpy as np
 
-from .fracint import EndpointDerivatives, UniformGrid, corrected_trapezoid_K
+from .fracint import STARTUP_ZEROS, EndpointDerivatives, UniformGrid, corrected_trapezoid_K
 from .problems import BenchmarkProblem, make_exp_problem, make_ml_problem, make_power_problem
-from .report import ConvergenceReport, empirical_order
-from .solver import SCHEMES, max_error, solve
+from .report import ConvergenceReport, sweep
+from .solver import max_error, solve
 from .specfun import gamma, mittag_leffler
 
 __all__ = [
@@ -285,48 +285,42 @@ def _reproduce_table1() -> list[ConvergenceReport]:
     for case, ref in zip(_TABLE1_CASES, _TABLE1_REF):
         deriv = case.derivatives(case.X)
         target = case.exact(case.alpha, case.X)
-        hs = (2.0 * _TABLE1_H[0],) + _TABLE1_H
-        errs = []
-        for h in hs:
-            n = round(case.X / h)
-            grid = UniformGrid.sample(case.f, case.X, n)
-            errs.append(abs(corrected_trapezoid_K(grid, case.alpha, deriv, order=4) - target))
-        rows_err = errs[1:]
-        first_order = empirical_order(errs[0], errs[1])
+
+        def error_at_h(h):
+            grid = UniformGrid.sample(case.f, case.X, round(case.X / h))
+            return abs(corrected_trapezoid_K(grid, case.alpha, deriv, order=4) - target)
+
         reports.append(
-            ConvergenceReport.from_errors(
+            sweep(
+                error_at_h,
+                _TABLE1_H,
                 label=case.label,
                 scheme="trapezoid-4",
                 alpha=case.alpha,
-                hs=list(_TABLE1_H),
-                errors=rows_err,
                 expected=list(ref),
-                first_order=first_order,
             )
         )
     return reports
 
 
 def _reproduce_solver_table(spec: TableSpec) -> list[ConvergenceReport]:
-    skip = SCHEMES[spec.scheme].startup_zeros
+    skip = STARTUP_ZEROS[spec.scheme]
     reports = []
     for col in spec.columns:
         problem = col.make_problem()
-        hs = (2.0 * spec.hs[0],) + spec.hs
-        errs = []
-        for h in hs:
-            n = round(problem.X / h)
-            u = solve(problem, spec.scheme, n)
-            errs.append(max_error(u, problem.exact, skip=skip))
+
+        def error_at_h(h):
+            u = solve(problem, spec.scheme, round(problem.X / h))
+            return max_error(u, problem.exact, skip=skip)
+
         reports.append(
-            ConvergenceReport.from_errors(
+            sweep(
+                error_at_h,
+                spec.hs,
                 label=f"Table {spec.table_id}: {problem.label}, alpha={col.alpha:g}",
                 scheme=spec.scheme,
                 alpha=col.alpha,
-                hs=list(spec.hs),
-                errors=errs[1:],
                 expected=list(col.expected),
-                first_order=empirical_order(errs[0], errs[1]),
             )
         )
     return reports

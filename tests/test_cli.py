@@ -74,6 +74,20 @@ class TestSweep:
         assert code == 0
         assert "alpha=0.75" in out
 
+    @pytest.mark.parametrize("flags", [("--alpha", "1.0"), ("--alpha", "2.5"), ("--X", "-1")])
+    def test_out_of_range_input_exits_2(self, capsys, flags):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(capsys, "sweep", *flags)
+        assert exc.value.code == 2
+        assert "error: " + flags[0] in capsys.readouterr().err
+
+    def test_preset_value_is_range_checked(self, capsys, tmp_path):
+        preset = tmp_path / "sweep.preset"
+        preset.write_text("alpha=1.0\n")
+        with pytest.raises(SystemExit) as exc:
+            run_cli(capsys, "sweep", "--preset", str(preset))
+        assert exc.value.code == 2
+
     def test_malformed_preset(self, capsys, tmp_path):
         preset = tmp_path / "bad.preset"
         preset.write_text("alpha 0.25\n")

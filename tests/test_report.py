@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from fracrelax.report import ConvergenceReport, ConvergenceRow, empirical_order
+from fracrelax.report import ConvergenceReport, ConvergenceRow, empirical_order, sweep
 
 
 def _sample_report(expected=None):
@@ -29,6 +29,19 @@ class TestAssembly:
         rep = _sample_report()
         assert rep.rows[0].order == pytest.approx(1.48)
         assert rep.rows[1].order == pytest.approx(empirical_order(1e-3, 3.5e-4))
+
+    def test_sweep_orders_first_row_from_extra_coarse_run(self):
+        calls = []
+
+        def error_at_h(h):
+            calls.append(h)
+            return h**2
+
+        rep = sweep(error_at_h, (0.1, 0.05), label="demo", scheme="A", alpha=0.5)
+        assert calls == [0.2, 0.1, 0.05]
+        assert [r.h for r in rep.rows] == [0.1, 0.05]
+        assert [r.max_error for r in rep.rows] == [0.1**2, 0.05**2]
+        assert [r.order for r in rep.rows] == pytest.approx([2.0, 2.0])
 
     def test_descending_h_enforced(self):
         rows = [ConvergenceRow(0.05, 1e-3, None), ConvergenceRow(0.1, 1e-2, None)]

@@ -8,7 +8,6 @@ import pytest
 from fracrelax.fracint import SchemeCoefficients, scheme_coefficients
 from fracrelax.problems import make_power_problem
 from fracrelax.solver import (
-    SCHEMES,
     DegenerateDenominatorError,
     claim5_partial_sum_check,
     claim8_window_check,
@@ -45,7 +44,7 @@ class TestSolve:
     def test_scheme_by_object_or_tag(self):
         prob = make_power_problem(4.0, 0.5)
         u1 = solve(prob, "A2", 64)
-        u2 = solve(prob, SCHEMES["A2"], 64)
+        u2 = solve_with_coefficients(prob.forcing, scheme_coefficients(0.5, "A2"), 64, X=prob.X)
         assert np.array_equal(u1.values, u2.values)
 
     def test_startup_values_prescribed_zero(self):
@@ -64,7 +63,7 @@ class TestSolve:
         alpha, n = 0.5, 16
         h = 1.0 / n
         c0 = -gamma(alpha) / h**alpha
-        coeffs = SchemeCoefficients(alpha=alpha, order_tag="A1", c=(c0,), zeta_cache=(0.0,) * 4)
+        coeffs = SchemeCoefficients(alpha=alpha, order_tag="A1", c=(c0,))
         with pytest.raises(DegenerateDenominatorError):
             solve_with_coefficients(lambda x: np.asarray(x), coeffs, n)
 

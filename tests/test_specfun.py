@@ -12,7 +12,6 @@ from fracrelax.specfun import (
     PoleError,
     SpecialFunctionError,
     bernoulli_numbers,
-    bernoulli_polynomial,
     digamma,
     gamma,
     mittag_leffler,
@@ -132,19 +131,6 @@ class TestBernoulli:
             bernoulli_numbers(100)
         with pytest.raises(ValueError):
             bernoulli_numbers(3, "third")
-
-    def test_polynomial_difference_identity(self):
-        # B_n(x+1) - B_n(x) = n x^(n-1)
-        for n in (1, 2, 3, 5):
-            for x in (0.0, 0.3, 1.7):
-                lhs = bernoulli_polynomial(n, x + 1.0) - bernoulli_polynomial(n, x)
-                assert lhs == pytest.approx(n * x ** (n - 1), abs=1e-12)
-
-    def test_polynomial_endpoints(self):
-        b = bernoulli_numbers(6).as_floats()
-        for n in (2, 4, 6):
-            assert bernoulli_polynomial(n, 0.0) == pytest.approx(b[n], abs=1e-15)
-            assert bernoulli_polynomial(n, 1.0) == pytest.approx(b[n], abs=1e-14)
 
 
 class TestMittagLeffler:
