@@ -47,7 +47,6 @@ from .specfun import (
     digamma,
     gamma,
     mittag_leffler,
-    polylog,
     zeta,
 )
 from .tables import check_table, reproduce_table
@@ -78,7 +77,6 @@ __all__ = [
     "make_power_problem",
     "max_error",
     "mittag_leffler",
-    "polylog",
     "reproduce_table",
     "residual_check",
     "riemann_left_I",

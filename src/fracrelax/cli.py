@@ -28,9 +28,9 @@ from .fracint import STARTUP_ZEROS, alpha_in_range
 from .problems import make_exp_problem, make_ml_problem, make_power_problem, residual_check
 from .report import ConvergenceReport, sweep
 from .solver import max_error, solve
-from .tables import TABLE_IDS, check_table, reproduce_table
+from .tables import TABLE_IDS, check_table
 
-__all__ = ["main", "build_parser", "run_sweep", "emit_solution_curve"]
+__all__ = ["main", "console_main", "build_parser", "run_sweep", "emit_solution_curve"]
 
 _DEFAULT_H = "0.025,0.0125,0.00625,0.003125"
 
@@ -216,5 +216,17 @@ def main(argv: list[str] | None = None) -> int:
     return 2
 
 
+def console_main(argv: list[str] | None = None) -> int:
+    """The ``fracrelax`` command: ``main``, with a ``ValueError`` (a malformed
+    preset or h list, a rejected problem, a Mittag-Leffler value the series
+    cannot resolve) reported as one line and exit code 2, as for bad
+    arguments, instead of a traceback.  ``main`` itself lets it propagate."""
+    try:
+        return main(argv)
+    except ValueError as exc:
+        print(f"fracrelax: error: {exc}", file=sys.stderr)
+        return 2
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(console_main())

@@ -9,9 +9,8 @@ kernel is singular) is omitted.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 

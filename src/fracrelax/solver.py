@@ -8,7 +8,6 @@ causal recurrence (fracrelax._kernels) with its own end-correction weights.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 

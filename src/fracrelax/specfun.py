@@ -1,9 +1,10 @@
 """Real-argument special functions: Gamma, digamma, Riemann zeta, Bernoulli
-numbers, the two-parameter Mittag-Leffler function and the polylogarithm.
+numbers and the two-parameter Mittag-Leffler function.
 
-All functions are pure and operate on ordinary Python floats.  Precomputed
-tables (Lanczos coefficients, Borwein weights) are built once at import time
-and never mutated, so every entry point is safe to call concurrently.
+All functions are pure and operate on ordinary Python floats.  Gamma is
+``math.gamma`` with a pole guard.  The one precomputed table (Borwein
+weights) is built once at import time and never mutated, so every entry
+point is safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ __all__ = [
     "zeta",
     "bernoulli_numbers",
     "mittag_leffler",
-    "polylog",
 ]
 
 EULER_GAMMA = 0.5772156649015328606
@@ -42,22 +42,6 @@ class ConvergenceError(SpecialFunctionError):
 # Gamma and digamma
 # ---------------------------------------------------------------------------
 
-# Lanczos approximation, g = 7, 9 coefficients.  Relative accuracy is a few
-# ulps on the positive axis; the reflection formula covers x < 0.5.
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
 def _is_nonpositive_integer(x: float) -> bool:
     return x <= 0.0 and x == math.floor(x)
 
@@ -66,15 +50,7 @@ def gamma(x: float) -> float:
     """Gamma function for real x, poles excluded."""
     if _is_nonpositive_integer(x):
         raise PoleError(f"gamma pole at x={x}")
-    if x < 0.5:
-        # reflection: Gamma(x) Gamma(1-x) = pi / sin(pi x)
-        return math.pi / (math.sin(math.pi * x) * gamma(1.0 - x))
-    z = x - 1.0
-    acc = _LANCZOS_COEF[0]
-    for i in range(1, len(_LANCZOS_COEF)):
-        acc += _LANCZOS_COEF[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
+    return math.gamma(x)
 
 
 # Asymptotic series coefficients B_{2n}/(2n) for digamma, n = 1..7.
@@ -209,11 +185,14 @@ def bernoulli_numbers(n_max: int, kind: str = "first") -> BernoulliTable:
 
 
 # ---------------------------------------------------------------------------
-# Mittag-Leffler and polylogarithm
+# Mittag-Leffler
 # ---------------------------------------------------------------------------
 
 _ML_MAX_TERMS = 10_000
 _ML_RTOL = 1e-16
+# an alternating series loses about (largest term) * eps to cancellation;
+# past this absolute error, scaled by max(1, |E|), the sum is refused
+_ML_ATOL = 1e-10
 
 
 def mittag_leffler(alpha: float, beta: float, z: float) -> float:
@@ -222,13 +201,15 @@ def mittag_leffler(alpha: float, beta: float, z: float) -> float:
     Direct series with compensated (Kahan) accumulation; terms with a gamma
     argument past the double-precision range are evaluated in log space.
     Raises ConvergenceError if the term-magnitude guard is not met within
-    10,000 terms.
+    10,000 terms, or if cancellation between the largest term and the sum
+    could leave an error above 1e-10 * max(1, |E|).
     """
     if alpha <= 0.0:
         raise ValueError("mittag_leffler requires alpha > 0")
     total = 0.0
     comp = 0.0
     zn = 1.0
+    largest = 0.0
     logabsz = math.log(abs(z)) if z != 0.0 else -math.inf
     for n in range(_ML_MAX_TERMS):
         arg = alpha * n + beta
@@ -244,38 +225,14 @@ def mittag_leffler(alpha: float, beta: float, z: float) -> float:
         t = total + y
         comp = (t - total) - y
         total = t
+        largest = max(largest, abs(term))
         if abs(term) < _ML_RTOL * (1.0 + abs(total)):
+            if largest * 2.0**-52 > _ML_ATOL * max(1.0, abs(total)):
+                raise ConvergenceError(
+                    f"mittag_leffler series loses accuracy to cancellation for "
+                    f"alpha={alpha}, beta={beta}, z={z}; |z| is too large"
+                )
             return total
     raise ConvergenceError(
         f"mittag_leffler series did not converge for alpha={alpha}, beta={beta}, z={z}"
     )
-
-
-_POLYLOG_MAX_TERMS = 1_000_000
-
-
-def polylog(alpha: float, x: float) -> float:
-    """Polylogarithm Li_alpha(x) for |x| < 1, or x = 1 with alpha > 1."""
-    if x == 1.0:
-        if alpha <= 1.0:
-            raise SpecialFunctionError("polylog diverges at x=1 for alpha <= 1")
-        return zeta(alpha)
-    if abs(x) >= 1.0:
-        raise SpecialFunctionError(f"polylog domain is |x| < 1, got x={x}")
-    if x == 0.0:
-        return 0.0
-    total = 0.0
-    comp = 0.0
-    xn = x
-    ax = abs(x)
-    for n in range(1, _POLYLOG_MAX_TERMS + 1):
-        term = xn / n**alpha
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        # geometric tail bound: |tail| <= |x|^(n+1) / ((n+1)^alpha (1-|x|))
-        if abs(xn) * ax / ((n + 1) ** alpha * (1.0 - ax)) < 1e-16 * (1.0 + abs(total)):
-            return total
-        xn *= x
-    raise ConvergenceError(f"polylog series did not converge for alpha={alpha}, x={x}")

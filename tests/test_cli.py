@@ -47,8 +47,11 @@ class TestSweep:
         assert strip(out1) == strip(out2)
 
     def test_bad_h_list(self, capsys):
+        argv = ["sweep", "--h-list", "0.025,0.05"]
         with pytest.raises(ValueError):
-            run_cli(capsys, "sweep", "--h-list", "0.025,0.05")
+            cli.main(argv)
+        assert cli.console_main(argv) == 2
+        assert capsys.readouterr().err.startswith("fracrelax: error: ")
 
     def test_out_file_and_env_dir(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("FRACRELAX_OUT_DIR", str(tmp_path))
@@ -91,8 +94,10 @@ class TestSweep:
     def test_malformed_preset(self, capsys, tmp_path):
         preset = tmp_path / "bad.preset"
         preset.write_text("alpha 0.25\n")
+        argv = ["sweep", "--preset", str(preset)]
         with pytest.raises(ValueError):
-            run_cli(capsys, "sweep", "--preset", str(preset))
+            cli.main(argv)
+        assert cli.console_main(argv) == 2
 
 
 class TestTable:
@@ -137,6 +142,13 @@ class TestCurve:
         # both schemes land near the exact value at x = 1
         assert float(last[2]) == pytest.approx(1.0, abs=0.05)
         assert float(last[3]) == pytest.approx(1.0, abs=0.01)
+
+    def test_unresolvable_mittag_leffler_exits_2(self, capsys):
+        # E_{1/2,1}(-x^(1/2)) on [0, 100]: the series cannot resolve it
+        assert cli.console_main(["curve", "--problem", "ml", "--X", "100"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("fracrelax: error: mittag_leffler series")
 
     def test_unknown_scheme_rejected(self, capsys):
         with pytest.raises(SystemExit):

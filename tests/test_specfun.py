@@ -10,26 +10,33 @@ from fracrelax.specfun import (
     EULER_GAMMA,
     ConvergenceError,
     PoleError,
-    SpecialFunctionError,
     bernoulli_numbers,
     digamma,
     gamma,
     mittag_leffler,
-    polylog,
     zeta,
 )
 
 mpmath.mp.dps = 30
 
 
+def _ml_mpmath(alpha, beta, z):
+    """E_{alpha,beta}(z) by its power series in 80-digit arithmetic."""
+    with mpmath.workdps(80):
+        a, b, z = mpmath.mpf(alpha), mpmath.mpf(beta), mpmath.mpf(z)
+        return float(mpmath.nsum(lambda k: z**k / mpmath.gamma(a * k + b), [0, mpmath.inf]))
+
+
 class TestGamma:
-    @pytest.mark.parametrize("x", [0.1, 0.5, 1.0, 1.5, 2.0, 4.25, 10.0, 25.5, 50.0, 100.0])
+    @pytest.mark.parametrize(
+        "x", [0.1, 0.5, 1.0, 1.5, 2.0, 4.25, 10.0, 25.5, 50.0, 100.0, 143.5, 150.0, 171.5]
+    )
     def test_matches_math_gamma(self, x):
-        assert gamma(x) == pytest.approx(math.gamma(x), rel=2e-13)
+        assert gamma(x) == pytest.approx(float(mpmath.gamma(x)), rel=2e-13)
 
     @pytest.mark.parametrize("x", [-0.5, -1.5, -2.25, -7.8])
     def test_reflection_negative_axis(self, x):
-        assert gamma(x) == pytest.approx(math.gamma(x), rel=1e-13)
+        assert gamma(x) == pytest.approx(float(mpmath.gamma(x)), rel=1e-13)
 
     def test_integer_values(self):
         for n in range(1, 10):
@@ -157,29 +164,19 @@ class TestMittagLeffler:
         val = mittag_leffler(0.4, 1.0, 8.0)
         assert math.isfinite(val) and val > 0
 
+    @pytest.mark.parametrize(
+        "alpha,z", [(0.5, -3.0), (0.65, -5.0), (1.25, -2.4), (1.94, -55.5)]
+    )
+    def test_large_negative_argument_matches_mpmath(self, alpha, z):
+        expect = _ml_mpmath(alpha, 1.0, z)
+        assert abs(mittag_leffler(alpha, 1.0, z) - expect) <= 1e-10 * max(1.0, abs(expect))
+
+    @pytest.mark.parametrize("z", [-5.0, -10.0])
+    def test_cancellation_raises(self, z):
+        # the alternating series cannot resolve E_{1/2,1}(z) to 1e-10 here
+        with pytest.raises(ConvergenceError):
+            mittag_leffler(0.5, 1.0, z)
+
     def test_alpha_validation(self):
         with pytest.raises(ValueError):
             mittag_leffler(0.0, 1.0, 1.0)
-
-
-class TestPolylog:
-    def test_li1_is_log(self):
-        for x in (-0.9, -0.2, 0.4, 0.95):
-            assert polylog(1.0, x) == pytest.approx(-math.log1p(-x), rel=1e-12)
-
-    def test_li2_half(self):
-        expect = math.pi**2 / 12.0 - math.log(2.0) ** 2 / 2.0
-        assert polylog(2.0, 0.5) == pytest.approx(expect, rel=1e-13)
-
-    def test_at_one_reduces_to_zeta(self):
-        assert polylog(2.0, 1.0) == pytest.approx(math.pi**2 / 6.0, rel=1e-13)
-
-    def test_domain_errors(self):
-        with pytest.raises(SpecialFunctionError):
-            polylog(0.5, 1.0)
-        with pytest.raises(SpecialFunctionError):
-            polylog(2.0, 1.5)
-
-    @pytest.mark.parametrize("alpha,x", [(0.5, 0.5), (1.5, -0.8), (-0.5, 0.3)])
-    def test_matches_mpmath(self, alpha, x):
-        assert polylog(alpha, x) == pytest.approx(float(mpmath.polylog(alpha, x)), rel=1e-11)
