@@ -189,9 +189,6 @@ class SchemeCoefficients:
     def startup_zeros(self) -> int:
         return STARTUP_ZEROS[self.order_tag]
 
-    def corr_array(self) -> np.ndarray:
-        return np.array(self.c if self.c else (0.0,), dtype=float)
-
 
 def alpha_in_range(alpha: float) -> bool:
     """True when alpha lies in (0,1) or (1,2), where the schemes are defined."""

@@ -3,7 +3,8 @@ stability-bound evaluators that accompany them.
 
 Five schemes are available, tagged A, A1, A2, A3, A4 with nominal convergence
 orders alpha, 1+alpha, 2+alpha, 3+alpha, 4+alpha.  Each is the same explicit
-causal recurrence (fracrelax._kernels) with its own end-correction weights.
+causal recurrence with its own end-correction weights, a lower-triangular
+Toeplitz system that fracrelax._kernels solves with FFTs in O(n log n).
 """
 
 from __future__ import annotations
@@ -47,14 +48,14 @@ def solve_with_coefficients(
     h = X / n
     gam = gamma(alpha)
     h_alpha = h**alpha
-    corr = coeffs.corr_array()
-    if abs(gam + corr[0] * h_alpha) <= 1e-12:
+    c0 = coeffs.c[0] if coeffs.c else 0.0
+    if abs(gam + c0 * h_alpha) <= 1e-12:
         raise DegenerateDenominatorError(
             f"Gamma(alpha) + c_0 h^alpha degenerate for alpha={alpha}, h={h}"
         )
-    x = np.linspace(0.0, X, n + 1)
-    F = np.asarray(forcing(x), dtype=float)
+    F = np.asarray(forcing(np.linspace(0.0, X, n + 1)), dtype=float)
     w = power_weights(alpha, n)
+    corr = np.asarray(coeffs.c, dtype=float)
     u = _kernels.recurrence(F, w, corr, startup_zeros, gam, h_alpha)
     return UniformGrid(X=X, n=n, values=u)
 
@@ -155,8 +156,8 @@ def local_truncation_coefficients(problem, n: int) -> np.ndarray:
     w = power_weights(alpha, n)
     gam = gamma(alpha)
     h_alpha = h**alpha
-    a = np.zeros(n + 1)
-    for m in range(1, n + 1):
-        hist = float(np.dot(y[m - 1:0:-1], w[1:m]))
-        a[m] = (y[m] + h_alpha / gam * hist - F[m]) / h_alpha
+    # hist_m = sum_{k=1}^{m-1} w_k y_{m-k}; the full convolution adds w_m y_0.
+    hist = np.convolve(y, w)[: n + 1] - w * y[0]
+    a = (y + h_alpha / gam * hist - F) / h_alpha
+    a[0] = 0.0
     return a

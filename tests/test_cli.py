@@ -4,6 +4,7 @@ exit codes."""
 import csv
 import io
 import json
+import math
 
 import pytest
 
@@ -52,6 +53,14 @@ class TestSweep:
             cli.main(argv)
         assert cli.console_main(argv) == 2
         assert capsys.readouterr().err.startswith("fracrelax: error: ")
+
+    def test_large_p_power_problem(self, capsys):
+        # Gamma(p+1) alone overflows past p = 170.6; the problem must still solve.
+        assert cli.console_main(["sweep", "--p", "200"]) == 0
+        body = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
+        rows = list(csv.DictReader(io.StringIO("\n".join(body))))
+        assert len(rows) == 4
+        assert all(math.isfinite(float(r["max_error"])) for r in rows)
 
     def test_out_file_and_env_dir(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("FRACRELAX_OUT_DIR", str(tmp_path))

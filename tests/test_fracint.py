@@ -184,7 +184,7 @@ class TestSchemeCoefficients:
         c = scheme_coefficients(0.5, "A3")
         assert c.nominal_order == pytest.approx(3.5)
         assert c.startup_zeros == 1
-        assert scheme_coefficients(0.5, "A").corr_array().tolist() == [0.0]
+        assert scheme_coefficients(0.5, "A").c == ()
 
     def test_validation(self):
         with pytest.raises(ValueError):

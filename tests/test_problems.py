@@ -3,6 +3,7 @@ input checking."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -26,6 +27,14 @@ class TestPowerProblem:
     def test_vanishing_order(self):
         assert make_power_problem(4.0, 0.5).vanishing_order == 3
         assert make_power_problem(1.05, 0.5).vanishing_order == 1
+
+    def test_large_p_coefficient(self):
+        # Gamma(201) and Gamma(201.5) both overflow a double; their ratio does not.
+        prob = make_power_problem(200.0, 0.5)
+        coef = float(prob.forcing(np.array([1.0]))[0] - prob.exact(np.array([1.0]))[0])
+        with mpmath.workdps(30):
+            expect = float(mpmath.gamma(201) / mpmath.gamma(mpmath.mpf(201.5)))
+        assert coef == pytest.approx(expect, rel=1e-13)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -41,6 +41,11 @@ class TestSolve:
         for o in orders:
             assert o == pytest.approx(2.5, abs=0.1)
 
+    def test_a1_order_at_large_n(self):
+        prob = make_power_problem(4.0, 0.5)
+        e16, e17 = (max_error(solve(prob, "A1", n), prob.exact) for n in (2**16, 2**17))
+        assert math.log2(e16 / e17) == pytest.approx(1.5, abs=0.05)
+
     def test_scheme_by_object_or_tag(self):
         prob = make_power_problem(4.0, 0.5)
         u1 = solve(prob, "A2", 64)
