@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .specfun import bernoulli_numbers, gamma, zeta
+from .specfun import bernoulli_numbers, gamma, gamma_ratio, zeta
 
 __all__ = [
     "UniformGrid",
@@ -105,7 +105,7 @@ def frac_integral_exact_power(p: float, alpha: float, x: float) -> float:
         raise ValueError("power rule requires p > -1")
     if x == 0.0:
         return 0.0
-    return gamma(p + 1.0) / gamma(p + alpha + 1.0) * x ** (p + alpha)
+    return gamma_ratio(p + 1.0, p + alpha + 1.0) * x ** (p + alpha)
 
 
 def trapezoid_K(grid: UniformGrid, alpha: float) -> float:

@@ -15,13 +15,14 @@ end-corrected quadrature before any solver run.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .fracint import UniformGrid, corrected_sum_I, scheme_coefficients
-from .specfun import gamma, mittag_leffler
+from .specfun import gamma, gamma_ratio, mittag_leffler
 
 __all__ = [
     "BenchmarkProblem",
@@ -48,18 +49,16 @@ class BenchmarkProblem:
     vanishing_order: int
 
 
-def _ml_values(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
-    flat = np.asarray(z, dtype=float).ravel()
-    out = np.array([mittag_leffler(alpha, beta, float(v)) for v in flat])
-    return out.reshape(np.shape(z))
+# The exp problem's forcing e^x + I^alpha e^x approaches 2 e^x; a factor e
+# below the largest double keeps it finite on [0, X].
+_EXP_X_MAX = math.log(sys.float_info.max) - 1.0
 
 
 def make_power_problem(p: float, alpha: float, X: float = 1.0) -> BenchmarkProblem:
     """y = x^p, F = x^p + Gamma(p+1)/Gamma(p+alpha+1) x^(p+alpha)."""
     if p <= 0.0:
         raise ValueError("power problem requires p > 0")
-    # Gamma(p+1)/Gamma(p+alpha+1) through lgamma: each gamma overflows past 171.6.
-    coef = math.exp(math.lgamma(p + 1.0) - math.lgamma(p + alpha + 1.0))
+    coef = gamma_ratio(p + 1.0, p + alpha + 1.0)
 
     def exact(x):
         x = np.asarray(x, dtype=float)
@@ -84,6 +83,11 @@ def make_exp_problem(m: int, alpha: float, X: float = 1.0) -> BenchmarkProblem:
     """y = e^x - sum_{k=0}^m x^k/k!  (the degree-m Taylor remainder of e^x)."""
     if not 0 <= m <= 12:
         raise ValueError("exp problem requires 0 <= m <= 12")
+    if X > _EXP_X_MAX:
+        raise ValueError(
+            f"exp problem requires X <= {_EXP_X_MAX:.2f}, got {X:g}: "
+            "its forcing overflows a double"
+        )
 
     def exact(x):
         x = np.asarray(x, dtype=float)
@@ -94,7 +98,7 @@ def make_exp_problem(m: int, alpha: float, X: float = 1.0) -> BenchmarkProblem:
 
     def forcing(x):
         x = np.asarray(x, dtype=float)
-        out = np.exp(x) + x**alpha * _ml_values(1.0, 1.0 + alpha, x)
+        out = np.exp(x) + x**alpha * mittag_leffler(1.0, 1.0 + alpha, x)
         for k in range(m + 1):
             out = out - x ** (k + alpha) / gamma(k + 1.0 + alpha) - x**k / math.factorial(k)
         return out
@@ -125,8 +129,8 @@ def make_ml_problem(m: int, alpha: float, X: float = 1.0) -> BenchmarkProblem:
     def exact(x):
         x = np.asarray(x, dtype=float)
         xa = x**alpha
-        out = _ml_values(alpha, 1.0, -xa)
-        out = out + g2 * x ** (3.0 * alpha) * _ml_values(alpha, 1.0 + 3.0 * alpha, -xa)
+        out = mittag_leffler(alpha, 1.0, -xa)
+        out = out + g2 * x ** (3.0 * alpha) * mittag_leffler(alpha, 1.0 + 3.0 * alpha, -xa)
         out = out - 1.0 + xa / gamma(1.0 + alpha) - x ** (2.0 * alpha) / g2
         tail = np.zeros_like(x)
         for k in range(3, m + 1):

@@ -1,10 +1,11 @@
 """Real-argument special functions: Gamma, digamma, Riemann zeta, Bernoulli
 numbers and the two-parameter Mittag-Leffler function.
 
-All functions are pure and operate on ordinary Python floats.  Gamma is
-``math.gamma`` with a pole guard.  The one precomputed table (Borwein
-weights) is built once at import time and never mutated, so every entry
-point is safe to call concurrently.
+All functions are pure.  They take and return Python floats, except
+``mittag_leffler``, which also takes an array ``z`` and then returns an
+array of its shape.  Gamma is ``math.gamma`` with a pole guard.  The one
+precomputed table (Borwein weights) is built once at import time and never
+mutated, so every entry point is safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -13,10 +14,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 __all__ = [
     "EULER_GAMMA",
     "BernoulliTable",
     "gamma",
+    "gamma_ratio",
     "digamma",
     "zeta",
     "bernoulli_numbers",
@@ -51,6 +55,15 @@ def gamma(x: float) -> float:
     if _is_nonpositive_integer(x):
         raise PoleError(f"gamma pole at x={x}")
     return math.gamma(x)
+
+
+def gamma_ratio(a: float, b: float) -> float:
+    """Gamma(a)/Gamma(b) for a, b > 0, through lgamma: finite wherever the
+    ratio is, also past 171.6, where each gamma alone overflows.  Its relative
+    error grows like 1e-16 * lgamma(max(a, b)), about 1e-13 at a = 200."""
+    if a <= 0.0 or b <= 0.0:
+        raise ValueError("gamma_ratio requires a > 0 and b > 0")
+    return math.exp(math.lgamma(a) - math.lgamma(b))
 
 
 # Asymptotic series coefficients B_{2n}/(2n) for digamma, n = 1..7.
@@ -193,46 +206,93 @@ _ML_RTOL = 1e-16
 # an alternating series loses about (largest term) * eps to cancellation;
 # past this absolute error, scaled by max(1, |E|), the sum is refused
 _ML_ATOL = 1e-10
+# why a point is refused, by its code in mittag_leffler's ``refused`` array
+_ML_REFUSALS = (
+    "",  # 0: not refused
+    "loses accuracy to cancellation",
+    "overflows a double",
+    "did not converge",
+)
 
 
-def mittag_leffler(alpha: float, beta: float, z: float) -> float:
+def mittag_leffler(alpha: float, beta: float, z: float | np.ndarray) -> float | np.ndarray:
     """Two-parameter Mittag-Leffler function E_{alpha,beta}(z).
 
-    Direct series with compensated (Kahan) accumulation; terms with a gamma
-    argument past the double-precision range are evaluated in log space.
-    Raises ConvergenceError if the term-magnitude guard is not met within
-    10,000 terms, or if cancellation between the largest term and the sum
-    could leave an error above 1e-10 * max(1, |E|).
+    ``z`` is a float or an array: a float (or a 0-d array) gives a float, an
+    array gives an array of its shape.  Direct series with compensated (Kahan)
+    accumulation, summed over all points at once: Gamma(alpha n + beta) is
+    computed once per term, each point keeps its own z^n, largest term and
+    sum, and leaves the sum at the term where its own series has converged,
+    so each value is the one a single-point call gives.  Terms with a gamma
+    argument or a power past the double-precision range are evaluated in log
+    space.
+
+    Raises ConvergenceError, naming the lowest-index refused z, if a point's
+    term-magnitude guard is not met within 10,000 terms, if cancellation
+    between its largest term and its sum could leave an error above
+    1e-10 * max(1, |E|), or if a term or the sum overflows a double.
     """
     if alpha <= 0.0:
         raise ValueError("mittag_leffler requires alpha > 0")
-    total = 0.0
-    comp = 0.0
-    zn = 1.0
-    largest = 0.0
-    logabsz = math.log(abs(z)) if z != 0.0 else -math.inf
-    for n in range(_ML_MAX_TERMS):
-        arg = alpha * n + beta
-        if arg > 170.0 or n * logabsz > 690.0:
+    zs = np.asarray(z, dtype=float)
+    out = np.empty(zs.size)
+    refused = np.zeros(zs.size, dtype=np.int8)  # index into _ML_REFUSALS
+    # the points whose series is still being summed, and their state
+    idx = np.arange(zs.size)
+    zv = zs.ravel()
+    logabsz = np.full(zs.size, -np.inf)
+    np.log(np.abs(zv), out=logabsz, where=zv != 0.0)
+    zn = np.ones(zs.size)
+    total = np.zeros(zs.size)
+    comp = np.zeros(zs.size)
+    largest = np.zeros(zs.size)
+    # z^(n+1) overflows only where the next term is due in log space, which
+    # never reads it; a term or sum that overflows (and the nan its Kahan
+    # compensation then takes) is refused below; 0 * log|0| at n = 0 is nan,
+    # which compares False
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(_ML_MAX_TERMS):
+            if idx.size == 0:
+                break
+            arg = alpha * n + beta
             # gamma(arg) or z^n would overflow a double; work in log space
-            sign = -1.0 if (z < 0.0 and n % 2) else 1.0
-            log_term = n * logabsz - math.lgamma(arg)
-            term = 0.0 if log_term < -600.0 else sign * math.exp(log_term)
-        else:
-            term = zn / gamma(arg)
-            zn *= z
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        largest = max(largest, abs(term))
-        if abs(term) < _ML_RTOL * (1.0 + abs(total)):
-            if largest * 2.0**-52 > _ML_ATOL * max(1.0, abs(total)):
-                raise ConvergenceError(
-                    f"mittag_leffler series loses accuracy to cancellation for "
-                    f"alpha={alpha}, beta={beta}, z={z}; |z| is too large"
-                )
-            return total
-    raise ConvergenceError(
-        f"mittag_leffler series did not converge for alpha={alpha}, beta={beta}, z={z}"
-    )
+            if arg > 170.0:
+                in_log = np.ones(idx.size, dtype=bool)
+                term = np.empty(idx.size)
+            else:
+                in_log = n * logabsz > 690.0
+                term = zn / gamma(arg)
+                zn *= zv
+            if in_log.any():
+                log_term = n * logabsz[in_log] - math.lgamma(arg)
+                sign = np.where(zv[in_log] < 0.0, -1.0, 1.0) if n % 2 else 1.0
+                term[in_log] = np.where(log_term < -600.0, 0.0, sign * np.exp(log_term))
+            y = term - comp
+            t = total + y
+            comp = (t - total) - y
+            total = t
+            largest = np.maximum(largest, np.abs(term))
+            done = np.abs(term) < _ML_RTOL * (1.0 + np.abs(total))
+            overflow = np.isinf(total)
+            finished = done | overflow
+            if not finished.any():
+                continue
+            out[idx[finished]] = total[finished]
+            cancel = done & (largest * 2.0**-52 > _ML_ATOL * np.maximum(1.0, np.abs(total)))
+            refused[idx[cancel]] = 1
+            refused[idx[overflow]] = 2
+            keep = ~finished
+            idx, zv, logabsz, zn, total, comp, largest = (
+                a[keep] for a in (idx, zv, logabsz, zn, total, comp, largest))
+    refused[idx] = 3
+    bad = np.flatnonzero(refused)
+    if bad.size:
+        first = bad[0]
+        tail = "" if refused[first] == 3 else "; |z| is too large"
+        raise ConvergenceError(
+            f"mittag_leffler series {_ML_REFUSALS[refused[first]]} for alpha={alpha}, "
+            f"beta={beta}, z={float(zs.flat[first])}{tail}"
+        )
+    if zs.ndim == 0:
+        return float(out[0])
+    return out.reshape(zs.shape)

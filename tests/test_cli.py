@@ -2,13 +2,16 @@
 exit codes."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 from fracrelax import cli
+from fracrelax.problems import make_exp_problem, make_ml_problem, make_power_problem
 
 
 def run_cli(capsys, *argv):
@@ -53,6 +56,13 @@ class TestSweep:
             cli.main(argv)
         assert cli.console_main(argv) == 2
         assert capsys.readouterr().err.startswith("fracrelax: error: ")
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_exp_problem_exits_2(self, capsys):
+        assert cli.console_main(["sweep", "--problem", "exp", "--X", "1000"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("fracrelax: error: exp problem requires X <= 708.78")
 
     def test_large_p_power_problem(self, capsys):
         # Gamma(p+1) alone overflows past p = 170.6; the problem must still solve.
@@ -107,6 +117,42 @@ class TestSweep:
         with pytest.raises(ValueError):
             cli.main(argv)
         assert cli.console_main(argv) == 2
+
+
+class TestResidualCheck:
+    """run_sweep rejects a (forcing, exact) pair by the decay of its residual
+    between n=1024 and n=2048, not by its size at n=1024."""
+
+    @pytest.mark.parametrize("argv", [
+        # residual 1.6e-6 -> 6.5e-7: y ~ x^(3 alpha) is barely smooth at 0
+        ("--problem", "ml", "--alpha", "0.1", "--m", "2"),
+        # 1.3e-4 -> 4.6e-5
+        ("--problem", "power", "--p", "0.5", "--alpha", "0.85", "--X", "8"),
+        # 1.3e14 -> 6.0e12: y is about e^50
+        ("--problem", "exp", "--m", "0", "--X", "50"),
+    ])
+    def test_valid_problem_with_large_residual_passes(self, capsys, argv):
+        assert cli.console_main(["sweep", *argv]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("problem,perturb", [
+        (make_ml_problem(2, 0.1), "scale"),
+        (make_ml_problem(2, 0.1), "shift"),
+        (make_power_problem(0.5, 0.85, X=8.0), "scale"),
+        (make_power_problem(0.5, 0.85, X=8.0), "shift"),
+        (make_exp_problem(0, 0.5, X=50.0), "scale"),
+        (make_exp_problem(2, 0.5), "shift"),
+    ], ids=lambda v: v if isinstance(v, str) else f"{v.label}-X{v.X:g}")
+    def test_perturbed_pair_is_rejected(self, problem, perturb):
+        forcing = problem.forcing
+        if perturb == "scale":
+            wrong = dataclasses.replace(problem, forcing=lambda x: forcing(x) * (1.0 + 1e-4))
+        else:
+            wrong = dataclasses.replace(
+                problem, forcing=lambda x: forcing(x) + 1e-5 * np.asarray(x))
+        with pytest.raises(ValueError, match="^problem failed residual check: "):
+            cli.run_sweep(wrong, "A1", [0.1])
+        cli.run_sweep(problem, "A1", [0.1])
 
 
 class TestTable:

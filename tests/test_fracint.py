@@ -3,6 +3,7 @@ scheme coefficients and the power-sum expansion."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -72,6 +73,12 @@ class TestExactPowerRule:
 
     def test_zero_point(self):
         assert frac_integral_exact_power(2.0, 0.5, 0.0) == 0.0
+
+    def test_large_p(self):
+        # Gamma(201) and Gamma(201.5) both overflow a double; their ratio does not.
+        with mpmath.workdps(30):
+            expect = float(mpmath.gamma(201) / mpmath.gamma(mpmath.mpf(201.5)) * 1.5 ** 200.5)
+        assert frac_integral_exact_power(200.0, 0.5, 1.5) == pytest.approx(expect, rel=1e-13)
 
     def test_domain(self):
         with pytest.raises(ValueError):

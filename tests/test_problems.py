@@ -60,6 +60,15 @@ class TestExpProblem:
         with pytest.raises(ValueError):
             make_exp_problem(13, 0.5)
 
+    @pytest.mark.filterwarnings("error")
+    def test_largest_X(self):
+        # F approaches 2 e^x: finite up to log(DBL_MAX) - 1, refused past it
+        prob = make_exp_problem(0, 0.5, X=708.5)
+        assert np.all(np.isfinite(prob.forcing(np.linspace(0.0, 708.5, 9))))
+        for X in (709.0, 1000.0):
+            with pytest.raises(ValueError, match="forcing overflows a double"):
+                make_exp_problem(0, 0.5, X=X)
+
 
 class TestMlProblem:
     def test_forcing_single_power(self):

@@ -2,9 +2,13 @@
 identities."""
 
 import math
+import random
 
 import mpmath
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracrelax.specfun import (
     EULER_GAMMA,
@@ -13,6 +17,7 @@ from fracrelax.specfun import (
     bernoulli_numbers,
     digamma,
     gamma,
+    gamma_ratio,
     mittag_leffler,
     zeta,
 )
@@ -25,6 +30,38 @@ def _ml_mpmath(alpha, beta, z):
     with mpmath.workdps(80):
         a, b, z = mpmath.mpf(alpha), mpmath.mpf(beta), mpmath.mpf(z)
         return float(mpmath.nsum(lambda k: z**k / mpmath.gamma(a * k + b), [0, mpmath.inf]))
+
+
+def scalar_ml_reference(alpha: float, beta: float, z: float) -> float:
+    """The one-point Mittag-Leffler series that the array evaluation replaced,
+    kept as its reference: the same terms, Kahan sum and refusals, one z at a
+    time in Python floats (an overflowing term raises OverflowError here)."""
+    if alpha <= 0.0:
+        raise ValueError("mittag_leffler requires alpha > 0")
+    total = 0.0
+    comp = 0.0
+    zn = 1.0
+    largest = 0.0
+    logabsz = math.log(abs(z)) if z != 0.0 else -math.inf
+    for n in range(10_000):
+        arg = alpha * n + beta
+        if arg > 170.0 or n * logabsz > 690.0:
+            sign = -1.0 if (z < 0.0 and n % 2) else 1.0
+            log_term = n * logabsz - math.lgamma(arg)
+            term = 0.0 if log_term < -600.0 else sign * math.exp(log_term)
+        else:
+            term = zn / gamma(arg)
+            zn *= z
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        largest = max(largest, abs(term))
+        if abs(term) < 1e-16 * (1.0 + abs(total)):
+            if largest * 2.0**-52 > 1e-10 * max(1.0, abs(total)):
+                raise ConvergenceError("cancellation")
+            return total
+    raise ConvergenceError("no convergence")
 
 
 class TestGamma:
@@ -49,6 +86,19 @@ class TestGamma:
     def test_poles_raise(self, x):
         with pytest.raises(PoleError):
             gamma(x)
+
+
+class TestGammaRatio:
+    @pytest.mark.parametrize("a,b", [(2.0, 2.5), (0.3, 1.7), (5.0, 5.35), (201.0, 201.5)])
+    def test_matches_mpmath(self, a, b):
+        with mpmath.workdps(30):
+            expect = float(mpmath.gamma(mpmath.mpf(a)) / mpmath.gamma(mpmath.mpf(b)))
+        assert gamma_ratio(a, b) == pytest.approx(expect, rel=1e-13)
+
+    @pytest.mark.parametrize("a,b", [(0.0, 1.0), (1.0, -0.5)])
+    def test_domain(self, a, b):
+        with pytest.raises(ValueError):
+            gamma_ratio(a, b)
 
 
 class TestDigamma:
@@ -180,3 +230,104 @@ class TestMittagLeffler:
     def test_alpha_validation(self):
         with pytest.raises(ValueError):
             mittag_leffler(0.0, 1.0, 1.0)
+
+
+class TestMittagLefflerArrays:
+    """The array evaluation against the one-point series it replaced."""
+
+    @staticmethod
+    def _reference(alpha, beta, zs):
+        out = []
+        for z in zs:
+            try:
+                val = scalar_ml_reference(alpha, beta, float(z))
+            except (ConvergenceError, OverflowError):
+                val = None
+            out.append(val if val is not None and math.isfinite(val) else None)
+        return out
+
+    def test_equals_scalar_series_bit_for_bit(self):
+        # Off the log-space branch every value is the reference's, bit for
+        # bit.  That branch carries terms that reach the last bit only for
+        # huge values (|E| above about 1e35 at alpha = 2), where np.exp may
+        # differ from math.exp by one ulp.
+        rng = random.Random(7)
+        checked = 0
+        for _ in range(40):
+            alpha, beta = rng.uniform(0.05, 2.0), rng.uniform(0.5, 5.0)
+            zs = np.array([rng.uniform(-1.0, 1.0) * 10 ** rng.uniform(-3.0, 2.3)
+                           for _ in range(30)])
+            ref = self._reference(alpha, beta, zs)
+            ok = [i for i, v in enumerate(ref) if v is not None]
+            got = mittag_leffler(alpha, beta, zs[ok])
+            for i, v in zip(ok, got):
+                if abs(ref[i]) < 1e30:
+                    assert v == ref[i], (alpha, beta, zs[i])
+                else:
+                    assert v == pytest.approx(ref[i], rel=4.5e-16, abs=0.0)
+            checked += len(ok)
+        assert checked > 1000
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        alpha=st.floats(0.05, 2.0),
+        beta=st.floats(0.5, 5.0),
+        zs=st.lists(st.floats(-12.0, 12.0), max_size=8),
+    )
+    def test_each_element_is_the_scalar_call(self, alpha, beta, zs):
+        scalars = []
+        for z in zs:
+            try:
+                scalars.append(mittag_leffler(alpha, beta, z))
+            except ConvergenceError as exc:
+                scalars.append(exc)
+        first_refused = next((i for i, v in enumerate(scalars)
+                              if isinstance(v, ConvergenceError)), None)
+        if first_refused is None:
+            assert mittag_leffler(alpha, beta, np.array(zs)).tolist() == scalars
+        else:
+            with pytest.raises(ConvergenceError) as exc:
+                mittag_leffler(alpha, beta, np.array(zs))
+            assert str(exc.value) == str(scalars[first_refused])
+
+    def test_zero_dimensional_input_gives_float(self):
+        for z in (0.3, np.float64(0.3), np.array(0.3)):
+            val = mittag_leffler(0.5, 1.0, z)
+            assert type(val) is float
+            assert val == scalar_ml_reference(0.5, 1.0, 0.3)
+
+    def test_two_dimensional_shape(self):
+        z = np.linspace(-2.0, 2.0, 12).reshape(3, 4)
+        got = mittag_leffler(0.75, 1.5, z)
+        assert got.shape == (3, 4)
+        assert got.tolist() == [[scalar_ml_reference(0.75, 1.5, float(v)) for v in row]
+                                for row in z]
+
+    def test_empty_array(self):
+        got = mittag_leffler(0.5, 1.0, np.empty((0, 3)))
+        assert isinstance(got, np.ndarray) and got.shape == (0, 3)
+
+    def test_error_names_lowest_index_refused_point(self):
+        # z = -10 (index 2) and z = -5 (index 3) are both refused; -5 would
+        # finish its series first
+        z = np.array([[0.1, -3.0], [-10.0, -5.0]])
+        with pytest.raises(ConvergenceError, match=r"z=-10\.0;"):
+            mittag_leffler(0.5, 1.0, z)
+
+
+class TestMittagLefflerNamedErrors:
+    """Arguments past the series' reach raise ConvergenceError, with no
+    numpy warning and no bare OverflowError or inf on the way."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "alpha,z", [(0.5, -30.0), (0.1, -2.0), (0.5, 40.0), (0.5, math.inf), (0.5, 1e308)]
+    )
+    def test_overflow_is_refused(self, alpha, z):
+        with pytest.raises(ConvergenceError, match="overflows a double"):
+            mittag_leffler(alpha, 1.0, z)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_inside_an_array(self):
+        with pytest.raises(ConvergenceError, match="z=40.0;"):
+            mittag_leffler(0.5, 1.0, np.array([0.5, 40.0, -1.0]))
