@@ -3,15 +3,20 @@
 Every scheme solves the same linear equation y + I^alpha y = F, so its
 recurrence is a lower-triangular Toeplitz system a * v = g on the unknowns
 past the startup zeros.  The system is solved as the power-series quotient
-g / a by Newton doubling with real FFTs (Karp-Markstein: each step extends the
-inverse of a and the quotient together), in O(n log n) operations.  No
-transform is longer than the next power of two at or above the number of
-unknowns.
+g / a by Newton doubling (Karp-Markstein: each step extends the inverse of a
+and the quotient together), in O(n log n) operations.  A step of length L
+forms its products directly with np.convolve up to L = DIRECT_PRODUCT_MAX,
+where a transform's call overhead costs more than the arithmetic it saves,
+and with real FFTs above it.  No transform is longer than the next power of
+two at or above the number of unknowns.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+# Longest doubling step whose products are formed directly rather than by FFT.
+DIRECT_PRODUCT_MAX = 256
 
 
 def active_backend() -> str:
@@ -50,8 +55,8 @@ def recurrence(
     v = u[first:]
     # inv holds 1/a mod z^k, k up to the largest power of two below N.  The
     # dominant a_0 and inv_0 = 1/a_0 enter as exact scalar products, not
-    # through the transforms, so that FFT roundoff scales with the smaller
-    # terms only; a[0] and inv[0] are kept zero.
+    # through the products below, so that their roundoff scales with the
+    # smaller terms only; a[0] and inv[0] are kept zero.
     inv0 = 1.0 / a[0]
     inv = np.zeros(1 << max(0, (N - 1).bit_length() - 1))
     v[0] = gamma_alpha * forcing[first] * inv0
@@ -60,19 +65,28 @@ def recurrence(
     while k < N:
         # v and inv are exact mod z^k.  With the residual r = (g - a v)[k:L],
         # v[k:L] = (inv r) mod z^k; with e = (a inv)[k:L], inv[k:L] =
-        # -(inv e) mod z^k.  The cyclic products of length L alias only terms
-        # past L - 1 onto 0..k-2, below the k..L-1 read from them.
+        # -(inv e) mod z^k.  A product is mul(spec(x), spec(y)): the full
+        # linear convolution, or the cyclic one of length L by FFT, which
+        # aliases only terms past L - 1 onto 0..k-2, below the k..L-1 read
+        # from it.
         L, top = 2 * k, min(2 * k, N)
-        fa = rfft(a[:L], L)
-        r = irfft(fa * rfft(v[:k], L), L)[k:top]
-        r = gamma_alpha * forcing[first + k:first + top] - r
-        fi = rfft(inv[:k], L)
+        if L <= DIRECT_PRODUCT_MAX:
+            spec, mul = np.asarray, np.convolve
+        else:
+            def spec(x):
+                return rfft(x, L)
+
+            def mul(fx, fy):
+                return irfft(fx * fy, L)
+        fa = spec(a[:L])
+        r = gamma_alpha * forcing[first + k:first + top] - mul(fa, spec(v[:k]))[k:top]
+        fi = spec(inv[:k])
         if L < N:
-            e = irfft(fa * fi, L)[k:L] + inv0 * a[k:L]
-            inv[k:L] = -(inv0 * e + irfft(fi * rfft(e, L), L)[:k])
+            e = mul(fa, fi)[k:L] + inv0 * a[k:L]
+            inv[k:L] = -(inv0 * e + mul(fi, spec(e))[:k])
         # Each transform is freed once used: the last step sets peak memory.
         del fa
-        v[k:top] = inv0 * r + irfft(fi * rfft(r, L), L)[:top - k]
+        v[k:top] = inv0 * r + mul(fi, spec(r))[:top - k]
         del fi, r
         k = L
     return u

@@ -26,8 +26,8 @@ import numpy as np
 
 from .fracint import STARTUP_ZEROS, alpha_in_range
 from .problems import make_exp_problem, make_ml_problem, make_power_problem, residual_check
-from .report import ConvergenceReport, sweep
-from .solver import max_error, solve
+from .report import ConvergenceReport
+from .solver import convergence_sweep, solve, tabulate
 from .tables import TABLE_IDS, check_table
 
 __all__ = ["main", "console_main", "build_parser", "run_sweep", "emit_solution_curve"]
@@ -106,20 +106,15 @@ def run_sweep(problem, scheme: str, hs: list[float], check_residual: bool = True
                     f"problem failed residual check: {res2:.3e} at n=2048, "
                     f"{res:.3e} at n=1024"
                 )
-    skip = STARTUP_ZEROS[scheme]
-
-    def error_at_h(h):
-        u = solve(problem, scheme, round(problem.X / h))
-        return max_error(u, problem.exact, skip=skip)
-
-    return sweep(error_at_h, hs, label=problem.label, scheme=scheme, alpha=problem.alpha)
+    return convergence_sweep(problem, scheme, hs, label=problem.label, alpha=problem.alpha)
 
 
 def emit_solution_curve(problem, schemes: list[str], h: float) -> str:
     """CSV with columns x, exact and one numerical-solution column per scheme."""
     n = round(problem.X / h)
     x = np.linspace(0.0, problem.X, n + 1)
-    cols = [np.asarray(problem.exact(x), dtype=float)]
+    problem = tabulate(problem, [x])
+    cols = [problem.exact(x)]
     for tag in schemes:
         cols.append(solve(problem, tag, n).values)
     header = "x,exact," + ",".join(f"u_{tag}" for tag in schemes)

@@ -157,11 +157,11 @@ def residual_check(problem: BenchmarkProblem, samples: int = 20, n: int = 4096) 
     x = np.linspace(0.0, problem.X, n + 1)
     y = np.asarray(problem.exact(x), dtype=float)
     coeffs = scheme_coefficients(problem.alpha, "A4")
+    ms = [(j * n) // samples for j in range(1, samples + 1)]
+    f = np.asarray(problem.forcing(x[ms]), dtype=float)
     worst = 0.0
-    for j in range(1, samples + 1):
-        m = (j * n) // samples
+    for m, f_m in zip(ms, f):
         grid = UniformGrid(X=x[m], n=m, values=y[: m + 1])
         q = corrected_sum_I(grid, coeffs)
-        f = float(np.asarray(problem.forcing(np.array([x[m]])))[0])
-        worst = max(worst, abs(y[m] + q - f))
+        worst = max(worst, abs(y[m] + q - float(f_m)))
     return worst

@@ -4,18 +4,31 @@ stability-bound evaluators that accompany them.
 Five schemes are available, tagged A, A1, A2, A3, A4 with nominal convergence
 orders alpha, 1+alpha, 2+alpha, 3+alpha, 4+alpha.  Each is the same explicit
 causal recurrence with its own end-correction weights, a lower-triangular
-Toeplitz system that fracrelax._kernels solves with FFTs in O(n log n).
+Toeplitz system that fracrelax._kernels solves in O(n log n).
+
+convergence_sweep runs one scheme over a list of steps h and reports errors
+and empirical orders.  It evaluates the problem's forcing and exact solution
+once, on the union of every run's nodes (tabulate), and each run reads its
+own nodes from those values.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import _kernels
-from .fracint import SchemeCoefficients, UniformGrid, power_weights, scheme_coefficients
+from .fracint import (
+    STARTUP_ZEROS,
+    SchemeCoefficients,
+    UniformGrid,
+    power_weights,
+    scheme_coefficients,
+)
+from .report import ConvergenceReport, sweep
 from .specfun import gamma
 
 __all__ = [
@@ -23,6 +36,8 @@ __all__ = [
     "solve",
     "solve_with_coefficients",
     "max_error",
+    "tabulate",
+    "convergence_sweep",
     "theorem6_bound",
     "theorem11_constants",
     "claim5_partial_sum_check",
@@ -32,6 +47,14 @@ __all__ = [
 
 class DegenerateDenominatorError(ArithmeticError):
     """Gamma(alpha) + c_0 h^alpha vanished; the recurrence cannot be formed."""
+
+
+class NonFiniteSolutionError(ValueError):
+    """The forcing or the scheme solution left the double range."""
+
+
+class NodeNotTabulatedError(LookupError):
+    """A tabulated problem was asked for a point outside its tabulated nodes."""
 
 
 def solve_with_coefficients(
@@ -54,9 +77,17 @@ def solve_with_coefficients(
             f"Gamma(alpha) + c_0 h^alpha degenerate for alpha={alpha}, h={h}"
         )
     F = np.asarray(forcing(np.linspace(0.0, X, n + 1)), dtype=float)
+    if not np.all(np.isfinite(F)):
+        raise NonFiniteSolutionError(f"forcing is not finite on [0, {X:g}]")
     w = power_weights(alpha, n)
     corr = np.asarray(coeffs.c, dtype=float)
-    u = _kernels.recurrence(F, w, corr, startup_zeros, gam, h_alpha)
+    # A sum past the double range becomes inf or nan, refused below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = _kernels.recurrence(F, w, corr, startup_zeros, gam, h_alpha)
+    if not np.all(np.isfinite(u)):
+        raise NonFiniteSolutionError(
+            f"scheme solution overflows a double on [0, {X:g}] at n={n}"
+        )
     return UniformGrid(X=X, n=n, values=u)
 
 
@@ -78,6 +109,51 @@ def max_error(numeric: UniformGrid, exact: Callable, skip: int = 0) -> float:
     lo = 1 + skip
     x = numeric.nodes[lo:]
     return float(np.max(np.abs(numeric.values[lo:] - np.asarray(exact(x), dtype=float))))
+
+
+def tabulate(problem, grids):
+    """problem with its forcing and exact solution evaluated once, on the
+    sorted union of the node arrays in grids, and replaced by lookups into
+    those values.  A lookup takes only points present in some grid, bit for
+    bit, and raises NodeNotTabulatedError otherwise.
+    """
+    x = np.unique(np.concatenate(grids))
+
+    def lookup(values):
+        def at(t):
+            t = np.asarray(t, dtype=float)
+            i = np.minimum(np.searchsorted(x, t), x.size - 1)
+            if not np.array_equal(x[i], t):
+                raise NodeNotTabulatedError("point is not a tabulated node")
+            return values[i]
+
+        return at
+
+    F = np.asarray(problem.forcing(x), dtype=float)
+    y = np.asarray(problem.exact(x), dtype=float)
+    return dataclasses.replace(problem, forcing=lookup(F), exact=lookup(y))
+
+
+def convergence_sweep(problem, tag: str, hs, **report_fields) -> ConvergenceReport:
+    """Convergence report of the scheme `tag` on problem over the decreasing
+    steps hs, by report.sweep's convention: the error of a run is max_error
+    with the scheme's startup nodes skipped, and an extra run at 2*hs[0]
+    supplies the first row's order.  report_fields (label, alpha, expected)
+    pass to sweep, with scheme=tag.
+
+    The forcing and exact solution are evaluated once for all runs (tabulate).
+    Every value of them is computed point by point, so each run sees what an
+    evaluation on its own grid would give.
+    """
+    hs = list(hs)
+    ns = {h: round(problem.X / h) for h in [2.0 * hs[0]] + hs}
+    tabled = tabulate(problem, [np.linspace(0.0, problem.X, n + 1) for n in ns.values()])
+    skip = STARTUP_ZEROS[tag]
+
+    def error_at_h(h):
+        return max_error(solve(tabled, tag, ns[h]), tabled.exact, skip=skip)
+
+    return sweep(error_at_h, hs, scheme=tag, **report_fields)
 
 
 @dataclass(frozen=True)

@@ -212,7 +212,20 @@ _ML_REFUSALS = (
     "loses accuracy to cancellation",
     "overflows a double",
     "did not converge",
+    "is undefined",  # 4: z is nan
 )
+
+
+def _ml_refusal(
+    alpha: float, beta: float, zs: np.ndarray, refused: np.ndarray
+) -> ConvergenceError:
+    """ConvergenceError naming the lowest-index refused point of zs."""
+    first = int(np.flatnonzero(refused)[0])
+    tail = "; |z| is too large" if refused[first] in (1, 2) else ""
+    return ConvergenceError(
+        f"mittag_leffler series {_ML_REFUSALS[refused[first]]} for alpha={alpha}, "
+        f"beta={beta}, z={float(zs.flat[first])}{tail}"
+    )
 
 
 def mittag_leffler(alpha: float, beta: float, z: float | np.ndarray) -> float | np.ndarray:
@@ -230,16 +243,20 @@ def mittag_leffler(alpha: float, beta: float, z: float | np.ndarray) -> float | 
     Raises ConvergenceError, naming the lowest-index refused z, if a point's
     term-magnitude guard is not met within 10,000 terms, if cancellation
     between its largest term and its sum could leave an error above
-    1e-10 * max(1, |E|), or if a term or the sum overflows a double.
+    1e-10 * max(1, |E|), or if a term or the sum overflows a double.  An
+    infinite or nan z is refused before any term is summed.
     """
     if alpha <= 0.0:
         raise ValueError("mittag_leffler requires alpha > 0")
     zs = np.asarray(z, dtype=float)
+    zv = zs.ravel()
+    # per point, an index into _ML_REFUSALS
+    refused = (2 * np.isinf(zv) + 4 * np.isnan(zv)).astype(np.int8)
+    if refused.any():
+        raise _ml_refusal(alpha, beta, zs, refused)
     out = np.empty(zs.size)
-    refused = np.zeros(zs.size, dtype=np.int8)  # index into _ML_REFUSALS
     # the points whose series is still being summed, and their state
     idx = np.arange(zs.size)
-    zv = zs.ravel()
     logabsz = np.full(zs.size, -np.inf)
     np.log(np.abs(zv), out=logabsz, where=zv != 0.0)
     zn = np.ones(zs.size)
@@ -285,14 +302,8 @@ def mittag_leffler(alpha: float, beta: float, z: float | np.ndarray) -> float | 
             idx, zv, logabsz, zn, total, comp, largest = (
                 a[keep] for a in (idx, zv, logabsz, zn, total, comp, largest))
     refused[idx] = 3
-    bad = np.flatnonzero(refused)
-    if bad.size:
-        first = bad[0]
-        tail = "" if refused[first] == 3 else "; |z| is too large"
-        raise ConvergenceError(
-            f"mittag_leffler series {_ML_REFUSALS[refused[first]]} for alpha={alpha}, "
-            f"beta={beta}, z={float(zs.flat[first])}{tail}"
-        )
+    if refused.any():
+        raise _ml_refusal(alpha, beta, zs, refused)
     if zs.ndim == 0:
         return float(out[0])
     return out.reshape(zs.shape)

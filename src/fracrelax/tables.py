@@ -22,10 +22,11 @@ from typing import Callable
 
 import numpy as np
 
-from .fracint import STARTUP_ZEROS, EndpointDerivatives, UniformGrid, corrected_trapezoid_K
+from .fracint import EndpointDerivatives, UniformGrid, corrected_trapezoid_K
 from .problems import BenchmarkProblem, make_exp_problem, make_ml_problem, make_power_problem
 from .report import ConvergenceReport, sweep
-from .solver import max_error, solve
+# solve stays bound here: perfbench's tracer tests read tables.solve.
+from .solver import convergence_sweep, solve  # noqa: F401
 from .specfun import gamma, mittag_leffler
 
 __all__ = [
@@ -304,21 +305,15 @@ def _reproduce_table1() -> list[ConvergenceReport]:
 
 
 def _reproduce_solver_table(spec: TableSpec) -> list[ConvergenceReport]:
-    skip = STARTUP_ZEROS[spec.scheme]
     reports = []
     for col in spec.columns:
         problem = col.make_problem()
-
-        def error_at_h(h):
-            u = solve(problem, spec.scheme, round(problem.X / h))
-            return max_error(u, problem.exact, skip=skip)
-
         reports.append(
-            sweep(
-                error_at_h,
+            convergence_sweep(
+                problem,
+                spec.scheme,
                 spec.hs,
                 label=f"Table {spec.table_id}: {problem.label}, alpha={col.alpha:g}",
-                scheme=spec.scheme,
                 alpha=col.alpha,
                 expected=list(col.expected),
             )

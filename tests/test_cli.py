@@ -12,6 +12,7 @@ import pytest
 
 from fracrelax import cli
 from fracrelax.problems import make_exp_problem, make_ml_problem, make_power_problem
+from fracrelax.solver import solve
 
 
 def run_cli(capsys, *argv):
@@ -63,6 +64,21 @@ class TestSweep:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith("fracrelax: error: exp problem requires X <= 708.78")
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_solve_exits_2(self, capsys):
+        # n = 28000: the scheme's sums for e^700 pass the largest double
+        argv = ["sweep", "--problem", "exp", "--X", "700", "--h-list", "0.025"]
+        assert cli.console_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("fracrelax: error: scheme solution overflows a double")
+
+    @pytest.mark.filterwarnings("error")
+    def test_exp_problem_at_X_600_solves(self, capsys):
+        argv = ["sweep", "--problem", "exp", "--X", "600", "--h-list", "0.025"]
+        assert cli.console_main(argv) == 0
+        assert capsys.readouterr().err == ""
 
     def test_large_p_power_problem(self, capsys):
         # Gamma(p+1) alone overflows past p = 170.6; the problem must still solve.
@@ -204,6 +220,22 @@ class TestCurve:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith("fracrelax: error: mittag_leffler series")
+
+    def test_two_schemes_evaluate_forcing_once(self):
+        problem = make_exp_problem(2, 0.6, X=2.0)
+        calls = []
+
+        def forcing(x):
+            calls.append(np.size(x))
+            return problem.forcing(x)
+
+        text = cli.emit_solution_curve(dataclasses.replace(problem, forcing=forcing),
+                                       ["A", "A4"], 0.1)
+        assert calls == [21]
+        lines = [line.split(",") for line in text.splitlines()[1:]]
+        for col, tag in ((2, "A"), (3, "A4")):
+            u = solve(problem, tag, 20).values
+            assert [line[col] for line in lines] == [f"{v:.10e}" for v in u]
 
     def test_unknown_scheme_rejected(self, capsys):
         with pytest.raises(SystemExit):

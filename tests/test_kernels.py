@@ -1,6 +1,6 @@
-"""Recurrence kernel tests: the FFT triangular-Toeplitz solve against a
-plain-Python O(n^2) oracle and against the former np.dot loop, the backend
-stamp, and determinism."""
+"""Recurrence kernel tests: the triangular-Toeplitz solve (direct products in
+short doubling steps, FFTs in long ones) against a plain-Python O(n^2) oracle
+and against the former np.dot loop, the backend stamp, and determinism."""
 
 import numpy as np
 import pytest
@@ -95,8 +95,9 @@ class TestOracle:
 
 
 class TestToeplitzSolve:
-    # N = n - startup_zeros unknowns on either side of the doubling steps.
-    @pytest.mark.parametrize("N", [63, 64, 65, 127, 128, 129])
+    # N = n - startup_zeros unknowns on either side of the doubling steps,
+    # and of the step length where direct products give way to FFTs.
+    @pytest.mark.parametrize("N", [63, 64, 65, 127, 128, 129, 255, 256, 257, 511, 512, 513])
     @pytest.mark.parametrize("tag", ["A", "A1", "A3", "A4"])
     def test_doubling_boundaries(self, N, tag):
         n = N + STARTUP_ZEROS[tag]
@@ -135,7 +136,7 @@ class TestToeplitzSolve:
     @given(
         alpha=st.one_of(st.floats(0.01, 0.99), st.floats(1.01, 1.99)),
         tag=st.sampled_from(ORDER_TAGS),
-        n=st.integers(4, 200),
+        n=st.integers(4, 700),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_matches_oracle_property(self, alpha, tag, n, seed):

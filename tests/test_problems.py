@@ -1,12 +1,14 @@
 """Benchmark-problem factory tests: closed forms, residual validation and
 input checking."""
 
+import dataclasses
 import math
 
 import mpmath
 import numpy as np
 import pytest
 
+from fracrelax.fracint import UniformGrid, corrected_sum_I, scheme_coefficients
 from fracrelax.problems import (
     make_exp_problem,
     make_ml_problem,
@@ -106,6 +108,34 @@ class TestResidualCheck:
     def test_residual_small(self, prob):
         assert residual_check(prob, samples=10, n=1024) <= 1e-6
 
+    @pytest.mark.parametrize("prob", CASES, ids=lambda p: f"{p.label}-a{p.alpha:g}")
+    def test_one_forcing_call_gives_the_per_point_residual(self, prob):
+        calls = []
+
+        def forcing(x):
+            calls.append(np.size(x))
+            return prob.forcing(x)
+
+        counted = dataclasses.replace(prob, forcing=forcing)
+        assert residual_check(counted, samples=8, n=1024) == per_point_residual(prob, 8, 1024)
+        assert calls == [8]
+
     def test_validation(self):
         with pytest.raises(ValueError):
             residual_check(make_power_problem(4.0, 0.5), samples=1)
+
+
+def per_point_residual(problem, samples, n):
+    """residual_check computed with one forcing call per sample point: the
+    reference for its single call on all sample points."""
+    x = np.linspace(0.0, problem.X, n + 1)
+    y = np.asarray(problem.exact(x), dtype=float)
+    coeffs = scheme_coefficients(problem.alpha, "A4")
+    worst = 0.0
+    for j in range(1, samples + 1):
+        m = (j * n) // samples
+        grid = UniformGrid(X=x[m], n=m, values=y[: m + 1])
+        q = corrected_sum_I(grid, coeffs)
+        f = float(np.asarray(problem.forcing(np.array([x[m]])))[0])
+        worst = max(worst, abs(y[m] + q - f))
+    return worst

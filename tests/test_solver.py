@@ -1,24 +1,32 @@
-"""Scheme recurrence and stability-bound tests."""
+"""Scheme recurrence, convergence sweep and stability-bound tests."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from fracrelax.fracint import SchemeCoefficients, scheme_coefficients
-from fracrelax.problems import make_power_problem
+from fracrelax import cli
+from fracrelax.fracint import STARTUP_ZEROS, SchemeCoefficients, scheme_coefficients
+from fracrelax.problems import make_ml_problem, make_power_problem
+from fracrelax.report import sweep
 from fracrelax.solver import (
     DegenerateDenominatorError,
+    NodeNotTabulatedError,
+    NonFiniteSolutionError,
     claim5_partial_sum_check,
     claim8_window_check,
+    convergence_sweep,
     local_truncation_coefficients,
     max_error,
     solve,
     solve_with_coefficients,
+    tabulate,
     theorem6_bound,
     theorem11_constants,
 )
 from fracrelax.specfun import gamma
+from fracrelax.tables import table_spec
 
 
 class TestSolve:
@@ -71,6 +79,84 @@ class TestSolve:
         coeffs = SchemeCoefficients(alpha=alpha, order_tag="A1", c=(c0,))
         with pytest.raises(DegenerateDenominatorError):
             solve_with_coefficients(lambda x: np.asarray(x), coeffs, n)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_solution_is_refused(self):
+        # u is about 1e308; the FFT products of the long doubling steps sum
+        # hundreds of such values and pass the largest double
+        coeffs = scheme_coefficients(0.5, "A1")
+        with pytest.raises(NonFiniteSolutionError, match="overflows a double"):
+            solve_with_coefficients(lambda x: np.full_like(x, 1e308), coeffs, 1024)
+        assert issubclass(NonFiniteSolutionError, ValueError)
+
+    def test_non_finite_forcing_is_refused(self):
+        coeffs = scheme_coefficients(0.5, "A1")
+        with pytest.raises(NonFiniteSolutionError, match="forcing is not finite"):
+            solve_with_coefficients(lambda x: np.where(x > 0.5, np.nan, x), coeffs, 64)
+
+
+def per_run_sweep(problem, tag, hs, **report_fields):
+    """The sweep with forcing and exact evaluated again on each run's grid."""
+    skip = STARTUP_ZEROS[tag]
+
+    def error_at_h(h):
+        u = solve(problem, tag, round(problem.X / h))
+        return max_error(u, problem.exact, skip=skip)
+
+    return sweep(error_at_h, hs, **report_fields)
+
+
+def rows(report):
+    return [(r.h, r.max_error, r.order) for r in report.rows]
+
+
+class TestConvergenceSweep:
+    @pytest.mark.parametrize("table_id,column", [(4, 1), (9, 2)])
+    def test_equals_per_run_sweep(self, table_id, column):
+        spec = table_spec(table_id)
+        problem = spec.columns[column].make_problem()
+        fields = dict(label=problem.label, alpha=problem.alpha)
+        got = convergence_sweep(problem, spec.scheme, spec.hs, **fields)
+        want = per_run_sweep(problem, spec.scheme, spec.hs, scheme=spec.scheme, **fields)
+        assert rows(got) == rows(want)
+
+    def test_cli_sweep_over_non_nested_steps(self):
+        # the runs at h = 0.06, 0.03, 0.02 share only some nodes
+        problem = make_ml_problem(2, 0.75)
+        got = cli.run_sweep(problem, "A1", [0.03, 0.02])
+        want = per_run_sweep(problem, "A1", [0.03, 0.02], label=problem.label,
+                             scheme="A1", alpha=0.75)
+        assert rows(got) == rows(want)
+
+    def test_forcing_and_exact_evaluated_once(self):
+        problem = make_ml_problem(2, 0.75)
+        calls = []
+
+        def counted(name, fn):
+            def wrapped(x):
+                calls.append(name)
+                return fn(x)
+
+            return wrapped
+
+        counted_problem = dataclasses.replace(
+            problem,
+            forcing=counted("forcing", problem.forcing),
+            exact=counted("exact", problem.exact),
+        )
+        convergence_sweep(counted_problem, "A2", (0.025, 0.0125, 0.00625),
+                          label="ml", alpha=0.75)
+        assert sorted(calls) == ["exact", "forcing"]
+
+    def test_lookup_takes_only_tabulated_nodes(self):
+        problem = make_power_problem(4.0, 0.5)
+        tabled = tabulate(problem, [np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 3)])
+        x = np.array([0.0, 0.25, 1.0])
+        assert np.array_equal(tabled.exact(x), problem.exact(x))
+        assert np.array_equal(tabled.forcing(x), problem.forcing(x))
+        for t in (0.3, 1.5, -0.1):
+            with pytest.raises(NodeNotTabulatedError):
+                tabled.forcing(np.array([t]))
 
 
 class TestMaxError:

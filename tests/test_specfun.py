@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracrelax import specfun
 from fracrelax.specfun import (
     EULER_GAMMA,
     ConvergenceError,
@@ -331,3 +332,16 @@ class TestMittagLefflerNamedErrors:
     def test_overflow_inside_an_array(self):
         with pytest.raises(ConvergenceError, match="z=40.0;"):
             mittag_leffler(0.5, 1.0, np.array([0.5, 40.0, -1.0]))
+
+    @pytest.mark.parametrize("z,reason", [
+        (math.nan, r"is undefined for alpha=0.5, beta=1.0, z=nan$"),
+        (np.array([0.5, -1.0, math.nan, -math.inf]), r"is undefined for .* z=nan$"),
+        (np.array([0.5, -math.inf, math.nan]), r"overflows a double for .* z=-inf;"),
+    ])
+    def test_non_finite_z_is_refused_before_any_term(self, monkeypatch, z, reason):
+        def no_term(x):
+            raise AssertionError("a series term was summed")
+
+        monkeypatch.setattr(specfun, "gamma", no_term)
+        with pytest.raises(ConvergenceError, match=reason):
+            mittag_leffler(0.5, 1.0, z)
