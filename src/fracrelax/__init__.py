@@ -42,9 +42,7 @@ from .solver import (
     theorem11_constants,
 )
 from .specfun import (
-    EULER_GAMMA,
     bernoulli_numbers,
-    digamma,
     gamma,
     mittag_leffler,
     zeta,
@@ -53,7 +51,6 @@ from .tables import check_table, reproduce_table
 
 __all__ = [
     "__version__",
-    "EULER_GAMMA",
     "BenchmarkProblem",
     "ConvergenceReport",
     "ConvergenceRow",
@@ -68,7 +65,6 @@ __all__ = [
     "claim8_window_check",
     "corrected_sum_I",
     "corrected_trapezoid_K",
-    "digamma",
     "empirical_order",
     "frac_integral_exact_power",
     "gamma",

@@ -18,6 +18,7 @@ comments) can seed any sweep/curve option; explicit flags win.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -33,6 +34,9 @@ from .tables import TABLE_IDS, check_table
 __all__ = ["main", "console_main", "build_parser", "run_sweep", "emit_solution_curve"]
 
 _DEFAULT_H = "0.025,0.0125,0.00625,0.003125"
+# the most steps n = X/h one sweep or curve run may take (the README's largest
+# documented solve, about 0.4 s)
+MAX_STEPS = 2**20
 
 
 def _load_preset(path: str) -> dict[str, str]:
@@ -80,12 +84,22 @@ def _parse_h_list(spec: str) -> list[float]:
     hs = [float(tok) for tok in spec.replace(";", ",").split(",") if tok.strip()]
     if not hs:
         raise ValueError("empty h list")
-    if hs != sorted(hs, reverse=True):
+    if any(a <= b for a, b in zip(hs, hs[1:])):
         raise ValueError("h list must be strictly decreasing")
     return hs
 
 
-def run_sweep(problem, scheme: str, hs: list[float], check_residual: bool = True) -> ConvergenceReport:
+def _check_step(h: float, X: float) -> None:
+    """Refuse a step that is not finite and positive, or whose run on [0, X]
+    would take more than MAX_STEPS steps."""
+    if not (math.isfinite(h) and h > 0.0):
+        raise ValueError(f"steps must be finite and positive, got {h:g}")
+    if X / h > MAX_STEPS:
+        raise ValueError(f"step {h:g} takes {X / h:.3g} steps on [0, {X:g}], "
+                         f"more than {MAX_STEPS}")
+
+
+def run_sweep(problem, scheme: str, hs: list[float]) -> ConvergenceReport:
     """Solve the problem at every step in hs and assemble a convergence report.
 
     An extra run at step 2*hs[0] supplies the first row's empirical order.
@@ -97,15 +111,14 @@ def run_sweep(problem, scheme: str, hs: list[float], check_residual: bool = True
     can exceed any absolute bound when y is large or barely smooth at 0; a
     wrong pair leaves a residual that does not fall.
     """
-    if check_residual:
-        res = residual_check(problem, samples=8, n=1024)
-        if res > 1e-6:
-            res2 = residual_check(problem, samples=8, n=2048)
-            if res2 > 1e-6 and res2 > res / 2.0:
-                raise ValueError(
-                    f"problem failed residual check: {res2:.3e} at n=2048, "
-                    f"{res:.3e} at n=1024"
-                )
+    res = residual_check(problem, samples=8, n=1024)
+    if res > 1e-6:
+        res2 = residual_check(problem, samples=8, n=2048)
+        if res2 > 1e-6 and res2 > res / 2.0:
+            raise ValueError(
+                f"problem failed residual check: {res2:.3e} at n=2048, "
+                f"{res:.3e} at n=1024"
+            )
     return convergence_sweep(problem, scheme, hs, label=problem.label, alpha=problem.alpha)
 
 
@@ -199,18 +212,23 @@ def main(argv: list[str] | None = None) -> int:
 
     args = _apply_preset(args, parser, argv)
     if not alpha_in_range(args.alpha):
-        parser.error(f"--alpha must lie in (0,1) or (1,2), got {args.alpha:g}")
+        parser.error(f"--alpha must lie in (0,1) or (1,2), with 1 - alpha != 1, "
+                     f"got {args.alpha:g}")
     if not args.X > 0.0:
         parser.error(f"--X must be positive, got {args.X:g}")
+    if not (math.isfinite(args.X) and math.isfinite(args.p)):
+        raise ValueError(f"--X and --p must be finite, got {args.X:g} and {args.p:g}")
 
     if args.command == "sweep":
-        problem = _make_problem(args)
         hs = _parse_h_list(args.h_list)
-        report = run_sweep(problem, args.scheme, hs)
+        for h in hs:
+            _check_step(h, args.X)
+        report = run_sweep(_make_problem(args), args.scheme, hs)
         _emit(report.render(args.format), out)
         return 0
 
     if args.command == "curve":
+        _check_step(args.h, args.X)
         problem = _make_problem(args)
         schemes = [tok.strip() for tok in args.scheme.split(",") if tok.strip()]
         for tag in schemes:
@@ -225,9 +243,11 @@ def main(argv: list[str] | None = None) -> int:
 
 def console_main(argv: list[str] | None = None) -> int:
     """The ``fracrelax`` command: ``main``, with a ``ValueError`` (a malformed
-    preset or h list, a rejected problem, a Mittag-Leffler value the series
-    cannot resolve) reported as one line and exit code 2, as for bad
-    arguments, instead of a traceback.  ``main`` itself lets it propagate."""
+    preset or h list, an infinite X or p, a step that is not finite and
+    positive or takes more than MAX_STEPS steps, a rejected problem, a
+    Mittag-Leffler value the series cannot resolve) reported as one line and
+    exit code 2, as for bad arguments, instead of a traceback.  ``main``
+    itself lets it propagate."""
     try:
         return main(argv)
     except ValueError as exc:

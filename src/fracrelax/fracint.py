@@ -191,8 +191,9 @@ class SchemeCoefficients:
 
 
 def alpha_in_range(alpha: float) -> bool:
-    """True when alpha lies in (0,1) or (1,2), where the schemes are defined."""
-    return 0.0 < alpha < 2.0 and alpha != 1.0
+    """True when alpha lies in (0,1) or (1,2), where the schemes are defined,
+    and 1 - alpha does not round to 1, the pole of the end corrections' zeta."""
+    return 0.0 < alpha < 2.0 and alpha != 1.0 and 1.0 - alpha != 1.0
 
 
 def scheme_coefficients(alpha: float, order_tag: str) -> SchemeCoefficients:
@@ -205,7 +206,7 @@ def scheme_coefficients(alpha: float, order_tag: str) -> SchemeCoefficients:
     if order_tag not in ORDER_TAGS:
         raise ValueError(f"order_tag must be one of {ORDER_TAGS}")
     if not alpha_in_range(alpha):
-        raise ValueError("alpha must lie in (0,1) or (1,2)")
+        raise ValueError("alpha must lie in (0,1) or (1,2), with 1 - alpha != 1")
     z1 = zeta(1.0 - alpha)
     z0 = zeta(-alpha)
     zm1 = zeta(-1.0 - alpha)
@@ -260,7 +261,7 @@ def sum_of_powers(alpha: float, n: int, m_terms: int) -> float:
         raise ValueError("n must be >= 2")
     if m_terms > 10:
         raise ValueError("m_terms capped at 10")
-    bern = bernoulli_numbers(m_terms, "first").as_floats()
+    bern = [float(b) for b in bernoulli_numbers(m_terms)]
     acc = 0.0
     binom = 1.0
     for m in range(m_terms + 1):

@@ -70,7 +70,10 @@ def solve_with_coefficients(
     alpha = coeffs.alpha
     h = X / n
     gam = gamma(alpha)
-    h_alpha = h**alpha
+    try:
+        h_alpha = h**alpha
+    except OverflowError:
+        raise NonFiniteSolutionError(f"h^alpha overflows a double at h={h:g}") from None
     c0 = coeffs.c[0] if coeffs.c else 0.0
     if abs(gam + c0 * h_alpha) <= 1e-12:
         raise DegenerateDenominatorError(

@@ -15,7 +15,6 @@ from fracrelax import (
     STARTUP_ZEROS,
     claim5_partial_sum_check,
     claim8_window_check,
-    digamma,
     gamma,
     make_power_problem,
     max_error,
@@ -202,7 +201,6 @@ def test_criterion_5_residuals(prob):
 def test_criterion_5_special_function_identities():
     assert gamma(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
     assert gamma(-1.5) == pytest.approx(math.gamma(-1.5), rel=1e-13)
-    assert digamma(0.5) == pytest.approx(-1.963510026021423479441, abs=1e-13)
     assert zeta(-0.5) == pytest.approx(-0.20788622497735456602, rel=1e-13)
     assert zeta(0.25) == pytest.approx(-0.81327840526189165652, rel=1e-13)
     assert zeta(2.0) == pytest.approx(math.pi**2 / 6.0, rel=1e-14)

@@ -135,6 +135,35 @@ class TestSweep:
         assert cli.console_main(argv) == 2
 
 
+class TestRejectedStepsAndSizes:
+    """A step or size the runs cannot use exits 2 with one error line before
+    any problem is built."""
+
+    @pytest.mark.parametrize("argv", [
+        ("curve", "--h", "0"),
+        ("curve", "--h", "nan"),
+        ("sweep", "--h-list", "0,-1"),
+        ("sweep", "--X", "inf"),
+        ("sweep", "--p", "inf"),
+        ("sweep", "--h-list", "0.1,0.1"),
+        ("sweep", "--h-list", "1e-9"),
+    ], ids=" ".join)
+    def test_exits_2_with_one_line(self, capsys, monkeypatch, argv):
+        def unreachable(args):
+            raise AssertionError("problem built before its input was checked")
+
+        monkeypatch.setattr(cli, "_make_problem", unreachable)
+        assert cli.console_main(list(argv)) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("fracrelax: error: ")
+
+    def test_step_limit(self):
+        cli._check_step(1.0 / cli.MAX_STEPS, 1.0)
+        with pytest.raises(ValueError, match="more than 1048576"):
+            cli._check_step(1.0 / cli.MAX_STEPS, 1.0 + 1e-9)
+
+
 class TestResidualCheck:
     """run_sweep rejects a (forcing, exact) pair by the decay of its residual
     between n=1024 and n=2048, not by its size at n=1024."""

@@ -5,10 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracrelax import cli
-from fracrelax.fracint import STARTUP_ZEROS, SchemeCoefficients, scheme_coefficients
-from fracrelax.problems import make_ml_problem, make_power_problem
+from fracrelax.fracint import STARTUP_ZEROS, SchemeCoefficients, alpha_in_range, scheme_coefficients
+from fracrelax.problems import make_exp_problem, make_ml_problem, make_power_problem
 from fracrelax.report import sweep
 from fracrelax.solver import (
     DegenerateDenominatorError,
@@ -93,6 +95,34 @@ class TestSolve:
         coeffs = scheme_coefficients(0.5, "A1")
         with pytest.raises(NonFiniteSolutionError, match="forcing is not finite"):
             solve_with_coefficients(lambda x: np.where(x > 0.5, np.nan, x), coeffs, 64)
+
+    def test_overflowing_step_power_is_refused(self):
+        # h = 1e299/16, and h^1.25 passes the largest double
+        with pytest.raises(NonFiniteSolutionError, match="h\\^alpha overflows"):
+            solve(make_power_problem(4.0, 1.25, X=1e299), "A2", 16)
+
+    ALPHAS = st.one_of(
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        st.floats(1.0, 2.0, exclude_min=True, exclude_max=True),
+    ).filter(alpha_in_range)
+    XS = st.floats(0.0, 1e300, exclude_min=True)
+    PROBLEMS = st.one_of(
+        st.builds(make_power_problem, st.floats(0.0, 1e300, exclude_min=True), ALPHAS, XS),
+        st.builds(make_exp_problem, st.integers(0, 12), ALPHAS,
+                  st.floats(0.0, 708.78, exclude_min=True)),
+        st.builds(make_ml_problem, st.integers(2, 60), ALPHAS, XS),
+    )
+
+    # a forcing such as x^p past the double range warns before it is refused
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @settings(max_examples=60, deadline=None)
+    @given(problem=PROBLEMS, tag=st.sampled_from(tuple(STARTUP_ZEROS)), extra=st.integers(0, 60))
+    def test_solution_is_finite_or_refused(self, problem, tag, extra):
+        try:
+            u = solve(problem, tag, STARTUP_ZEROS[tag] + 2 + extra).values
+        except (NonFiniteSolutionError, DegenerateDenominatorError):
+            return
+        assert np.all(np.isfinite(u))
 
 
 def per_run_sweep(problem, tag, hs, **report_fields):

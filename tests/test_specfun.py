@@ -12,11 +12,9 @@ from hypothesis import strategies as st
 
 from fracrelax import specfun
 from fracrelax.specfun import (
-    EULER_GAMMA,
     ConvergenceError,
     PoleError,
     bernoulli_numbers,
-    digamma,
     gamma,
     gamma_ratio,
     mittag_leffler,
@@ -102,28 +100,6 @@ class TestGammaRatio:
             gamma_ratio(a, b)
 
 
-class TestDigamma:
-    def test_frozen_half(self):
-        # Psi(1/2) = -gamma - 2 ln 2
-        assert digamma(0.5) == pytest.approx(-1.963510026021423479441, abs=1e-13)
-
-    def test_one(self):
-        assert digamma(1.0) == pytest.approx(-EULER_GAMMA, abs=1e-14)
-
-    @pytest.mark.parametrize("x", [0.1, 0.7, 1.3, 3.0, 9.9, 10.1, 42.0, -0.3, -2.7])
-    def test_matches_mpmath(self, x):
-        assert digamma(x) == pytest.approx(float(mpmath.digamma(x)), rel=1e-12, abs=1e-13)
-
-    def test_recurrence(self):
-        # Psi(x+1) = Psi(x) + 1/x
-        for x in (0.25, 1.6, 7.3):
-            assert digamma(x + 1.0) == pytest.approx(digamma(x) + 1.0 / x, rel=1e-13)
-
-    def test_poles_raise(self):
-        with pytest.raises(PoleError):
-            digamma(-3.0)
-
-
 class TestZeta:
     FROZEN = {
         -2.5: 0.0085169287778503305424,
@@ -155,12 +131,32 @@ class TestZeta:
         with pytest.raises(PoleError):
             zeta(1.0)
 
+    # The end corrections need zeta(c - alpha), c = 1, 0, ..., -4, for alpha in
+    # (0,1) u (1,2): next to the pole (c = 1, alpha -> 0), next to s = 0 and
+    # next to the trivial zeros -2, -4, -6, where only an absolute error bound
+    # is meaningful.
+    CORRECTION_ALPHAS = [
+        1e-12, 1e-9, 1e-6, 1e-3, 0.05, 0.3, 0.5, 0.65, 0.9985, 1 - 1e-9, 1 - 1e-12,
+        1 + 1e-12, 1 + 1e-9, 1.0015, 1.25, 1.5, 1.75, 1.94, 1.999, 2 - 1e-9, 2 - 1e-12,
+    ]
+
+    @pytest.mark.parametrize("alpha", CORRECTION_ALPHAS)
+    def test_correction_arguments_match_mpmath(self, alpha):
+        for c in (1.0, 0.0, -1.0, -2.0, -3.0, -4.0):
+            s = c - alpha
+            want = mpmath.zeta(mpmath.mpf(s))
+            err = abs(mpmath.mpf(zeta(s)) - want)
+            if min(abs(s - z) for z in (-2.0, -4.0, -6.0)) <= 1e-3:
+                assert err <= 1e-16, s
+            else:
+                assert err <= 1e-13 * abs(want), s
+
 
 class TestBernoulli:
     def test_known_fractions(self):
         from fractions import Fraction
 
-        b = bernoulli_numbers(12, "first")
+        b = bernoulli_numbers(12)
         assert b[0] == 1
         assert b[1] == Fraction(-1, 2)
         assert b[2] == Fraction(1, 6)
@@ -175,20 +171,11 @@ class TestBernoulli:
         for n in range(3, 16, 2):
             assert b[n] == 0
 
-    def test_second_kind(self):
-        from fractions import Fraction
-
-        b = bernoulli_numbers(4, "second")
-        assert b[1] == Fraction(1, 2)
-        assert b[2] == Fraction(1, 6)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             bernoulli_numbers(-1)
         with pytest.raises(OverflowError):
             bernoulli_numbers(100)
-        with pytest.raises(ValueError):
-            bernoulli_numbers(3, "third")
 
 
 class TestMittagLeffler:
