@@ -12,7 +12,8 @@ Subcommands:
 
 Relative --out paths are resolved against FRACRELAX_OUT_DIR when that
 environment variable is set.  A preset file (plain key=value lines, '#'
-comments) can seed any sweep/curve option; explicit flags win.
+comments) can seed any sweep/curve option: each key the command has is parsed
+as the flag --key=value ahead of the command line, so explicit flags win.
 """
 
 from __future__ import annotations
@@ -75,9 +76,7 @@ def _make_problem(args) -> object:
         return make_power_problem(args.p, args.alpha, X=args.X)
     if args.problem == "exp":
         return make_exp_problem(args.m, args.alpha, X=args.X)
-    if args.problem == "ml":
-        return make_ml_problem(args.m, args.alpha, X=args.X)
-    raise ValueError(f"unknown problem {args.problem!r}")
+    return make_ml_problem(args.m, args.alpha, X=args.X)
 
 
 def _parse_h_list(spec: str) -> list[float]:
@@ -100,9 +99,8 @@ def _check_step(h: float, X: float) -> None:
 
 
 def run_sweep(problem, scheme: str, hs: list[float]) -> ConvergenceReport:
-    """Solve the problem at every step in hs and assemble a convergence report.
-
-    An extra run at step 2*hs[0] supplies the first row's empirical order.
+    """Convergence report of the scheme on the problem over the steps hs
+    (solver.convergence_sweep).
 
     The (forcing, exact) pair is rejected when its residual exceeds 1e-6 at
     n=1024 and at n=2048 and does not halve between the two.  A valid pair's
@@ -178,26 +176,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_preset(args: argparse.Namespace, parser: argparse.ArgumentParser, argv: list[str]):
-    if not getattr(args, "preset", None):
-        return args
-    preset = _load_preset(args.preset)
-    # preset values fill in anything not given explicitly on the command line
-    explicit = {tok.split("=")[0].lstrip("-").replace("-", "_")
-                for tok in argv if tok.startswith("--")}
-    for key, value in preset.items():
-        if key in explicit or not hasattr(args, key):
-            continue
-        current = getattr(args, key)
-        cast = type(current) if current is not None and not isinstance(current, bool) else str
-        setattr(args, key, cast(value))
-    return args
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "preset", None):
+        preset = [f"--{key.replace('_', '-')}={value}"
+                  for key, value in _load_preset(args.preset).items() if hasattr(args, key)]
+        args = parser.parse_args([args.command, *preset, *argv[1:]])
     out = _resolve_out(getattr(args, "out", None))
 
     if args.command == "table":
@@ -210,7 +196,6 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         return 0
 
-    args = _apply_preset(args, parser, argv)
     if not alpha_in_range(args.alpha):
         parser.error(f"--alpha must lie in (0,1) or (1,2), with 1 - alpha != 1, "
                      f"got {args.alpha:g}")
@@ -227,30 +212,28 @@ def main(argv: list[str] | None = None) -> int:
         _emit(report.render(args.format), out)
         return 0
 
-    if args.command == "curve":
-        _check_step(args.h, args.X)
-        problem = _make_problem(args)
-        schemes = [tok.strip() for tok in args.scheme.split(",") if tok.strip()]
-        for tag in schemes:
-            if tag not in STARTUP_ZEROS:
-                parser.error(f"unknown scheme tag {tag!r}")
-        _emit(emit_solution_curve(problem, schemes, args.h), out)
-        return 0
-
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    # curve
+    _check_step(args.h, args.X)
+    problem = _make_problem(args)
+    schemes = [tok.strip() for tok in args.scheme.split(",")]
+    for tag in schemes:
+        if tag not in STARTUP_ZEROS:
+            parser.error(f"unknown scheme tag {tag!r}")
+    _emit(emit_solution_curve(problem, schemes, args.h), out)
+    return 0
 
 
 def console_main(argv: list[str] | None = None) -> int:
     """The ``fracrelax`` command: ``main``, with a ``ValueError`` (a malformed
     preset or h list, an infinite X or p, a step that is not finite and
     positive or takes more than MAX_STEPS steps, a rejected problem, a
-    Mittag-Leffler value the series cannot resolve) reported as one line and
-    exit code 2, as for bad arguments, instead of a traceback.  ``main``
-    itself lets it propagate."""
+    Mittag-Leffler value the series cannot resolve) or an ``OSError`` (a
+    preset or --out path that cannot be read or written) reported as one line
+    and exit code 2, as for bad arguments, instead of a traceback.  ``main``
+    itself lets them propagate."""
     try:
         return main(argv)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"fracrelax: error: {exc}", file=sys.stderr)
         return 2
 

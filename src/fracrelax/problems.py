@@ -120,7 +120,13 @@ def make_ml_problem(m: int, alpha: float, X: float = 1.0) -> BenchmarkProblem:
     if m < 2:
         raise ValueError("ml problem requires m >= 2")
     g2 = gamma(1.0 + 2.0 * alpha)
-    fcoef = (-1.0) ** m * (g2 - 1.0) / gamma(1.0 + (m + 1.0) * alpha)
+    try:
+        fcoef = (-1.0) ** m * (g2 - 1.0) / gamma(1.0 + (m + 1.0) * alpha)
+    except OverflowError:
+        raise ValueError(
+            f"ml problem requires Gamma(1 + (m+1)*alpha) within the double range, "
+            f"got m={m}, alpha={alpha:g}"
+        ) from None
 
     def forcing(x):
         x = np.asarray(x, dtype=float)
@@ -150,15 +156,19 @@ def make_ml_problem(m: int, alpha: float, X: float = 1.0) -> BenchmarkProblem:
 
 def residual_check(problem: BenchmarkProblem, samples: int = 20, n: int = 4096) -> float:
     """max over sample points of |y(x) + Q(x) - F(x)| with Q a high-resolution
-    end-corrected (order 4+alpha) quadrature of I^alpha y.
+    end-corrected (order 4+alpha) quadrature of I^alpha y.  Raises ValueError
+    when y or F is not finite on the points it is evaluated at.
     """
     if samples < 2:
         raise ValueError("samples must be >= 2")
     x = np.linspace(0.0, problem.X, n + 1)
-    y = np.asarray(problem.exact(x), dtype=float)
-    coeffs = scheme_coefficients(problem.alpha, "A4")
     ms = [(j * n) // samples for j in range(1, samples + 1)]
-    f = np.asarray(problem.forcing(x[ms]), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = np.asarray(problem.exact(x), dtype=float)
+        f = np.asarray(problem.forcing(x[ms]), dtype=float)
+    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(f))):
+        raise ValueError(f"forcing or exact solution is not finite on [0, {problem.X:g}]")
+    coeffs = scheme_coefficients(problem.alpha, "A4")
     worst = 0.0
     for m, f_m in zip(ms, f):
         grid = UniformGrid(X=x[m], n=m, values=y[: m + 1])

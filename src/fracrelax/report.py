@@ -48,28 +48,6 @@ class ConvergenceReport:
         if hs != sorted(hs, reverse=True):
             raise ValueError("rows must be ordered by h descending")
 
-    @staticmethod
-    def from_errors(
-        label: str,
-        scheme: str,
-        alpha: float,
-        hs: list[float],
-        errors: list[float],
-        expected: list[tuple[float, float]] | None = None,
-        first_order: float | None = None,
-    ) -> "ConvergenceReport":
-        rows = []
-        for i, (h, err) in enumerate(zip(hs, errors)):
-            order = first_order if i == 0 else empirical_order(errors[i - 1], err)
-            exp_err, exp_ord = expected[i] if expected is not None else (None, None)
-            rows.append(
-                ConvergenceRow(
-                    h=h, max_error=err, order=order,
-                    expected_error=exp_err, expected_order=exp_ord,
-                )
-            )
-        return ConvergenceReport(label=label, scheme=scheme, alpha=alpha, rows=rows)
-
     # -- rendering ----------------------------------------------------------
 
     @staticmethod
@@ -154,16 +132,23 @@ class ConvergenceReport:
         raise ValueError(f"unknown format {fmt!r}")
 
 
-def sweep(error_at_h: Callable[[float], float], hs, **report_fields) -> ConvergenceReport:
+def sweep(errors: Callable[[list[float]], list[float]], hs, label: str, scheme: str,
+          alpha: float, expected: list[tuple[float, float]] | None = None) -> ConvergenceReport:
     """Convergence report over the decreasing steps hs.
 
-    error_at_h(h) is the error of one run at step h.  An extra run at step
-    2*hs[0], not itself reported, supplies the first row's empirical order.
-    report_fields (label, scheme, alpha, expected) pass to
-    ConvergenceReport.from_errors.
+    errors(steps) returns the error of one run at each step of
+    steps = [2*hs[0]] + hs.  Each row takes its empirical order from the next
+    coarser run, so the extra run at 2*hs[0], not itself reported, supplies
+    the first row's order.  expected holds one (error, order) reference pair
+    per row.
     """
     hs = list(hs)
-    errs = [error_at_h(h) for h in [2.0 * hs[0]] + hs]
-    return ConvergenceReport.from_errors(
-        hs=hs, errors=errs[1:], first_order=empirical_order(errs[0], errs[1]), **report_fields
-    )
+    errs = errors([2.0 * hs[0]] + hs)
+    refs = [(None, None)] * len(hs) if expected is None else expected
+    runs = zip(hs, errs[:-1], errs[1:], refs, strict=True)
+    rows = [
+        ConvergenceRow(h=h, max_error=err, order=empirical_order(coarse, err),
+                       expected_error=exp_err, expected_order=exp_ord)
+        for h, coarse, err, (exp_err, exp_ord) in runs
+    ]
+    return ConvergenceReport(label=label, scheme=scheme, alpha=alpha, rows=rows)

@@ -118,7 +118,8 @@ def tabulate(problem, grids):
     """problem with its forcing and exact solution evaluated once, on the
     sorted union of the node arrays in grids, and replaced by lookups into
     those values.  A lookup takes only points present in some grid, bit for
-    bit, and raises NodeNotTabulatedError otherwise.
+    bit, and raises NodeNotTabulatedError otherwise.  Values past the double
+    range raise NonFiniteSolutionError.
     """
     x = np.unique(np.concatenate(grids))
 
@@ -132,31 +133,34 @@ def tabulate(problem, grids):
 
         return at
 
-    F = np.asarray(problem.forcing(x), dtype=float)
-    y = np.asarray(problem.exact(x), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        F = np.asarray(problem.forcing(x), dtype=float)
+        y = np.asarray(problem.exact(x), dtype=float)
+    if not (np.all(np.isfinite(F)) and np.all(np.isfinite(y))):
+        raise NonFiniteSolutionError(
+            f"forcing or exact solution is not finite on [0, {problem.X:g}]"
+        )
     return dataclasses.replace(problem, forcing=lookup(F), exact=lookup(y))
 
 
 def convergence_sweep(problem, tag: str, hs, **report_fields) -> ConvergenceReport:
     """Convergence report of the scheme `tag` on problem over the decreasing
-    steps hs, by report.sweep's convention: the error of a run is max_error
-    with the scheme's startup nodes skipped, and an extra run at 2*hs[0]
-    supplies the first row's order.  report_fields (label, alpha, expected)
+    steps hs, built by report.sweep; the error of a run is max_error with the
+    scheme's startup nodes skipped.  report_fields (label, alpha, expected)
     pass to sweep, with scheme=tag.
 
-    The forcing and exact solution are evaluated once for all runs (tabulate).
-    Every value of them is computed point by point, so each run sees what an
-    evaluation on its own grid would give.
+    The forcing and exact solution are evaluated once, on the grids of all the
+    steps sweep runs (tabulate).  Every value of them is computed point by
+    point, so each run sees what an evaluation on its own grid would give.
     """
-    hs = list(hs)
-    ns = {h: round(problem.X / h) for h in [2.0 * hs[0]] + hs}
-    tabled = tabulate(problem, [np.linspace(0.0, problem.X, n + 1) for n in ns.values()])
     skip = STARTUP_ZEROS[tag]
 
-    def error_at_h(h):
-        return max_error(solve(tabled, tag, ns[h]), tabled.exact, skip=skip)
+    def errors(steps):
+        ns = [round(problem.X / h) for h in steps]
+        tabled = tabulate(problem, [np.linspace(0.0, problem.X, n + 1) for n in ns])
+        return [max_error(solve(tabled, tag, n), tabled.exact, skip=skip) for n in ns]
 
-    return sweep(error_at_h, hs, scheme=tag, **report_fields)
+    return sweep(errors, hs, scheme=tag, **report_fields)
 
 
 @dataclass(frozen=True)

@@ -293,7 +293,7 @@ def _reproduce_table1() -> list[ConvergenceReport]:
 
         reports.append(
             sweep(
-                error_at_h,
+                lambda steps: [error_at_h(h) for h in steps],
                 _TABLE1_H,
                 label=case.label,
                 scheme="trapezoid-4",

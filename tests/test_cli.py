@@ -80,6 +80,19 @@ class TestSweep:
         assert cli.console_main(argv) == 0
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "--p", "400", "--X", "10"),
+        ("sweep", "--X", "1e200", "--h-list", "1e195"),
+        ("curve", "--p", "400", "--X", "10"),
+        ("sweep", "--problem", "ml", "--m", "200", "--alpha", "1.9"),
+    ], ids=" ".join)
+    def test_problem_past_the_double_range_exits_2(self, capsys, argv):
+        assert cli.console_main(list(argv)) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("fracrelax: error: ")
+
     def test_large_p_power_problem(self, capsys):
         # Gamma(p+1) alone overflows past p = 170.6; the problem must still solve.
         assert cli.console_main(["sweep", "--p", "200"]) == 0
@@ -125,6 +138,54 @@ class TestSweep:
         with pytest.raises(SystemExit) as exc:
             run_cli(capsys, "sweep", "--preset", str(preset))
         assert exc.value.code == 2
+
+    def test_abbreviated_flag_beats_preset(self, capsys, tmp_path):
+        preset = tmp_path / "sweep.preset"
+        preset.write_text("alpha=0.25\nh_list=0.05,0.025\n")
+        code, out, _ = run_cli(capsys, "sweep", "--preset", str(preset), "--alph", "0.75")
+        assert code == 0
+        assert "alpha=0.75" in out
+
+    def test_keys_the_command_lacks_are_ignored(self, capsys, tmp_path):
+        preset = tmp_path / "both.preset"
+        preset.write_text("problem=exp\nh=0.1\nh_list=0.05,0.025\nscheme=A2\n")
+        code, out, _ = run_cli(capsys, "sweep", "--preset", str(preset))
+        assert code == 0
+        assert "label=exp[m=2]" in out and "scheme=A2" in out
+        code, out, _ = run_cli(capsys, "curve", "--preset", str(preset))
+        assert code == 0
+        assert out.splitlines()[0] == "x,exact,u_A2"
+        assert len(out.splitlines()) == 1 + 11
+
+    @pytest.mark.parametrize("line", ["scheme=A9", "command=curve", "format=xml"])
+    def test_preset_value_is_parsed_as_a_flag(self, capsys, tmp_path, monkeypatch, line):
+        def unreachable(args):
+            raise AssertionError("problem built from an invalid preset")
+
+        monkeypatch.setattr(cli, "_make_problem", unreachable)
+        preset = tmp_path / "bad.preset"
+        preset.write_text(line + "\n")
+        with pytest.raises(SystemExit) as exc:
+            run_cli(capsys, "sweep", "--preset", str(preset))
+        assert exc.value.code == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_missing_preset_exits_2(self, capsys, tmp_path):
+        argv = ["sweep", "--preset", str(tmp_path / "missing.preset")]
+        with pytest.raises(FileNotFoundError):
+            cli.main(argv)
+        assert cli.console_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("fracrelax: error: ")
+
+    def test_out_path_under_a_file_exits_2(self, capsys, tmp_path):
+        (tmp_path / "file").write_text("")
+        argv = ["sweep", "--h-list", "0.05", "--out", str(tmp_path / "file" / "report.csv")]
+        assert cli.console_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("fracrelax: error: ")
 
     def test_malformed_preset(self, capsys, tmp_path):
         preset = tmp_path / "bad.preset"
@@ -269,3 +330,9 @@ class TestCurve:
     def test_unknown_scheme_rejected(self, capsys):
         with pytest.raises(SystemExit):
             run_cli(capsys, "curve", "--scheme", "A,A9")
+
+    def test_empty_scheme_list_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(capsys, "curve", "--scheme", ",")
+        assert exc.value.code == 2
+        assert "unknown scheme tag ''" in capsys.readouterr().err

@@ -90,6 +90,11 @@ class TestMlProblem:
         with pytest.raises(ValueError):
             make_ml_problem(1, 0.5)
 
+    def test_overflowing_forcing_coefficient_is_refused(self):
+        # Gamma(1 + 201 * 1.9) is past the double range
+        with pytest.raises(ValueError, match="within the double range"):
+            make_ml_problem(200, 1.9)
+
 
 class TestResidualCheck:
     # every factory instance must satisfy its own integral equation
@@ -123,6 +128,17 @@ class TestResidualCheck:
     def test_validation(self):
         with pytest.raises(ValueError):
             residual_check(make_power_problem(4.0, 0.5), samples=1)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("prob", [
+        dataclasses.replace(make_power_problem(4.0, 0.5),
+                            forcing=lambda x: np.full(np.shape(x), np.nan)),
+        make_power_problem(4.0, 0.5, X=1e200),
+    ], ids=["nan-forcing", "power-X1e200"])
+    def test_non_finite_values_are_refused(self, prob):
+        # max(0.0, nan) is 0.0: a nan residual must not read as a pass
+        with pytest.raises(ValueError, match="not finite"):
+            residual_check(prob, samples=8, n=1024)
 
 
 def per_point_residual(problem, samples, n):

@@ -10,14 +10,14 @@ from fracrelax.report import ConvergenceReport, ConvergenceRow, empirical_order,
 
 
 def _sample_report(expected=None):
-    return ConvergenceReport.from_errors(
+    # the unreported run at h = 0.2 gives the first row the order 1.48
+    return sweep(
+        lambda steps: [1e-3 * 2.0**1.48, 1e-3, 3.5e-4],
+        [0.1, 0.05],
         label="demo",
         scheme="A1",
         alpha=0.5,
-        hs=[0.1, 0.05],
-        errors=[1e-3, 3.5e-4],
         expected=expected,
-        first_order=1.48,
     )
 
 
@@ -25,20 +25,22 @@ class TestAssembly:
     def test_empirical_order(self):
         assert empirical_order(4.0, 1.0) == pytest.approx(2.0)
 
-    def test_from_errors_orders(self):
-        rep = _sample_report()
+    def test_sweep_orders_and_reference_columns(self):
+        rep = _sample_report(expected=[(1.1e-3, 1.5), (3.0e-4, 1.5)])
         assert rep.rows[0].order == pytest.approx(1.48)
         assert rep.rows[1].order == pytest.approx(empirical_order(1e-3, 3.5e-4))
+        assert [(r.expected_error, r.expected_order) for r in rep.rows] == [
+            (1.1e-3, 1.5), (3.0e-4, 1.5)]
 
     def test_sweep_orders_first_row_from_extra_coarse_run(self):
         calls = []
 
-        def error_at_h(h):
-            calls.append(h)
-            return h**2
+        def errors(steps):
+            calls.append(steps)
+            return [h**2 for h in steps]
 
-        rep = sweep(error_at_h, (0.1, 0.05), label="demo", scheme="A", alpha=0.5)
-        assert calls == [0.2, 0.1, 0.05]
+        rep = sweep(errors, (0.1, 0.05), label="demo", scheme="A", alpha=0.5)
+        assert calls == [[0.2, 0.1, 0.05]]
         assert [r.h for r in rep.rows] == [0.1, 0.05]
         assert [r.max_error for r in rep.rows] == [0.1**2, 0.05**2]
         assert [r.order for r in rep.rows] == pytest.approx([2.0, 2.0])

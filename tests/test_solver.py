@@ -129,11 +129,11 @@ def per_run_sweep(problem, tag, hs, **report_fields):
     """The sweep with forcing and exact evaluated again on each run's grid."""
     skip = STARTUP_ZEROS[tag]
 
-    def error_at_h(h):
-        u = solve(problem, tag, round(problem.X / h))
-        return max_error(u, problem.exact, skip=skip)
+    def errors(steps):
+        return [max_error(solve(problem, tag, round(problem.X / h)), problem.exact, skip=skip)
+                for h in steps]
 
-    return sweep(error_at_h, hs, **report_fields)
+    return sweep(errors, hs, **report_fields)
 
 
 def rows(report):
