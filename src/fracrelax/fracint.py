@@ -5,16 +5,22 @@ through 4+alpha, plus the fourth- and sixth-order corrected trapezoid rules.
 Conventions follow the singular-kernel trapezoid sum: the node at t=0 enters
 through the y(0) h / (2 x^(1-alpha)) term and the k=0 node (t=x, where the
 kernel is singular) is omitted.
+
+Every end correction comes from one expansion: at the singular end t = x,
+the sum's error has the terms zeta_j h^(alpha+j) y^(j)(x), with
+zeta_j = (-1)^j zeta(1-alpha-j)/j!.  The scheme weights take h^j y^(j) from
+backward differences, hD = -log(1 - nabla).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .specfun import bernoulli_numbers, gamma, gamma_ratio, zeta
+from .specfun import _zeta_em, bernoulli_numbers, gamma, gamma_ratio, zeta
 
 __all__ = [
     "UniformGrid",
@@ -126,35 +132,24 @@ def trapezoid_K(grid: UniformGrid, alpha: float) -> float:
 def corrected_trapezoid_K(
     grid: UniformGrid, alpha: float, deriv: EndpointDerivatives, order: int
 ) -> float:
-    """End-corrected trapezoid approximation of K^alpha y(x), order 4 or 6."""
+    """End-corrected trapezoid approximation of K^alpha y(x), order 4 or 6: it
+    subtracts the first `order` terms of the expansion at t = x and the
+    Euler-Maclaurin terms B_2j/(2j)! h^2j g^(2j-1)(0), 2j < order, of
+    g(t) = y(t) (x-t)^(alpha-1) at t = 0."""
     if order not in (4, 6):
         raise ValueError("order must be 4 or 6")
-    if order == 4:
-        deriv.require(2, 4)
-    else:
-        deriv.require(4, 6)
+    deriv.require(order - 2, order)
     h, x = grid.h, grid.X
-    y0 = deriv.at_zero
-    yx = deriv.at_x
-    ha = h**alpha
-
-    corr = (alpha - 1.0) * x ** (alpha - 2.0) * y0[0] * h * h / 12.0
-    if len(y0) > 1:
-        corr -= x ** (alpha - 1.0) * y0[1] * h * h / 12.0
-    corr += zeta(1.0 - alpha) * yx[0] * ha
-    corr -= zeta(-alpha) * yx[1] * h * ha
-    corr += zeta(-1.0 - alpha) * yx[2] / 2.0 * h**2 * ha
-    corr -= zeta(-2.0 - alpha) * yx[3] / 6.0 * h**3 * ha
-    if order == 6:
-        corr += zeta(-3.0 - alpha) * yx[4] / 24.0 * h**4 * ha
-        corr -= zeta(-4.0 - alpha) * yx[5] / 120.0 * h**5 * ha
-        corr += (
-            (3.0 - alpha) * (2.0 - alpha) * (1.0 - alpha) * x ** (alpha - 4.0) * y0[0]
-            + 3.0 * (2.0 - alpha) * (1.0 - alpha) * x ** (alpha - 3.0) * y0[1]
-            + 3.0 * (1.0 - alpha) * x ** (alpha - 2.0) * y0[2]
-            + x ** (alpha - 1.0) * y0[3]
-        ) * h**4 / 720.0
-    return trapezoid_K(grid, alpha) - corr
+    zs = _zeta_coefficients(alpha, order)
+    at_x = sum(z * h**j * d for j, (z, d) in enumerate(zip(zs, deriv.at_x)))
+    # g^(r)(0) by Leibniz; d^i/dt^i (x-t)^(alpha-1) = (1-alpha)...(i-alpha) x^(alpha-1-i) at 0
+    bern = bernoulli_numbers(order - 2)
+    at_zero = 0.0
+    for r in range(1, order - 2, 2):
+        g_r = sum(math.comb(r, m) * deriv.at_zero[m] * x ** (alpha - 1 - r + m)
+                  * math.prod(i - alpha for i in range(1, r - m + 1)) for m in range(r + 1))
+        at_zero += float(bern[r + 1] / math.factorial(r + 1)) * h ** (r + 1) * g_r
+    return trapezoid_K(grid, alpha) - (h**alpha * at_x - at_zero)
 
 
 def riemann_left_I(grid: UniformGrid, alpha: float) -> float:
@@ -171,10 +166,11 @@ def riemann_left_I(grid: UniformGrid, alpha: float) -> float:
 
 @dataclass(frozen=True)
 class SchemeCoefficients:
-    """End-correction weights c_0..c_j for one approximation order.
+    """End-correction weights c_0..c_{k-1} for one approximation order.
 
     order_tag A carries no corrections (plain left Riemann history); A1..A4
-    carry 1..4 weights built from zeta(1-alpha)..zeta(-2-alpha).
+    carry k = 1..4 weights: sum_l c_l y_{n-l} = -sum_{j<k} zeta_j (hD)^j y_n,
+    the expansion's first k terms (module docstring), hD cut after nabla^(k-1).
     """
 
     alpha: float
@@ -196,40 +192,34 @@ def alpha_in_range(alpha: float) -> bool:
     return 0.0 < alpha < 2.0 and alpha != 1.0 and 1.0 - alpha != 1.0
 
 
-def scheme_coefficients(alpha: float, order_tag: str) -> SchemeCoefficients:
-    """Correction weights for the approximation of order alpha + tag index.
+def _zeta_coefficients(alpha: float, k: int) -> list[float]:
+    """[zeta_j for j < k]; zeta(1-alpha) is summed from alpha itself, so that
+    it keeps its relative accuracy at tiny alpha."""
+    zs = (_zeta_em(1.0 - alpha, -alpha) if j == 0 and 1.0 - alpha >= -0.5
+          else zeta((1.0 - j) - alpha) for j in range(k))
+    return [(-1) ** j * z / math.factorial(j) for j, z in enumerate(zs)]
 
-    Note: the closed form of c_1 for tag A3 is -2 zeta(-alpha) + zeta(-1-alpha);
-    this is forced by the backward-difference substitution and by the
-    telescoping identity sum_j c_j = -zeta(1-alpha).
-    """
+
+def _correction_weights(alpha: float, k: int) -> tuple[float, ...]:
+    """c_0..c_{k-1} with sum_l c_l y_{n-l} = -sum_{j<k} zeta_j (hD)^j y_n."""
+    # -sum_j zeta_j (hD)^j in powers of nabla; hD = sum_{i>=1} nabla^i / i
+    in_nabla, hd_power = [0.0] * k, [1.0] + [0.0] * (k - 1)
+    for z in _zeta_coefficients(alpha, k):
+        in_nabla = [a - z * p for a, p in zip(in_nabla, hd_power)]
+        hd_power = [sum(hd_power[m] / (i - m) for m in range(i)) for i in range(k)]
+    # nabla^i y_n = sum_l (-1)^l C(i, l) y_{n-l}
+    return tuple((-1) ** l * sum(math.comb(i, l) * a for i, a in enumerate(in_nabla))
+                 for l in range(k))
+
+
+def scheme_coefficients(alpha: float, order_tag: str) -> SchemeCoefficients:
+    """Correction weights for the approximation of order alpha + k, k the tag
+    index, from the expansion's first k terms (see SchemeCoefficients)."""
     if order_tag not in ORDER_TAGS:
         raise ValueError(f"order_tag must be one of {ORDER_TAGS}")
     if not alpha_in_range(alpha):
         raise ValueError("alpha must lie in (0,1) or (1,2), with 1 - alpha != 1")
-    z1 = zeta(1.0 - alpha)
-    z0 = zeta(-alpha)
-    zm1 = zeta(-1.0 - alpha)
-    zm2 = zeta(-2.0 - alpha)
-    if order_tag == "A":
-        c: tuple[float, ...] = ()
-    elif order_tag == "A1":
-        c = (-z1,)
-    elif order_tag == "A2":
-        c = (z0 - z1, -z0)
-    elif order_tag == "A3":
-        c = (
-            1.5 * z0 - 0.5 * zm1 - z1,
-            -2.0 * z0 + zm1,
-            0.5 * z0 - 0.5 * zm1,
-        )
-    else:  # A4
-        c = (
-            11.0 / 6.0 * z0 - zm1 + zm2 / 6.0 - z1,
-            -3.0 * z0 + 2.5 * zm1 - 0.5 * zm2,
-            1.5 * z0 - 2.0 * zm1 + 0.5 * zm2,
-            -z0 / 3.0 + 0.5 * zm1 - zm2 / 6.0,
-        )
+    c = _correction_weights(alpha, ORDER_TAGS.index(order_tag))
     return SchemeCoefficients(alpha=alpha, order_tag=order_tag, c=c)
 
 

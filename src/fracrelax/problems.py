@@ -120,6 +120,8 @@ def make_ml_problem(m: int, alpha: float, X: float = 1.0) -> BenchmarkProblem:
     if m < 2:
         raise ValueError("ml problem requires m >= 2")
     g2 = gamma(1.0 + 2.0 * alpha)
+    if abs(g2 - 1.0) < 1e-8:
+        raise ValueError(f"ml problem's forcing is 0: Gamma(1+2*alpha) = 1 at alpha={alpha:g}")
     try:
         fcoef = (-1.0) ** m * (g2 - 1.0) / gamma(1.0 + (m + 1.0) * alpha)
     except OverflowError:

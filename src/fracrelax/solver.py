@@ -79,13 +79,13 @@ def solve_with_coefficients(
         raise DegenerateDenominatorError(
             f"Gamma(alpha) + c_0 h^alpha degenerate for alpha={alpha}, h={h}"
         )
-    F = np.asarray(forcing(np.linspace(0.0, X, n + 1)), dtype=float)
-    if not np.all(np.isfinite(F)):
-        raise NonFiniteSolutionError(f"forcing is not finite on [0, {X:g}]")
     w = power_weights(alpha, n)
     corr = np.asarray(coeffs.c, dtype=float)
-    # A sum past the double range becomes inf or nan, refused below.
+    # A forcing value or a sum past the double range is inf or nan; both are refused.
     with np.errstate(over="ignore", invalid="ignore"):
+        F = np.asarray(forcing(np.linspace(0.0, X, n + 1)), dtype=float)
+        if not np.all(np.isfinite(F)):
+            raise NonFiniteSolutionError(f"forcing is not finite on [0, {X:g}]")
         u = _kernels.recurrence(F, w, corr, startup_zeros, gam, h_alpha)
     if not np.all(np.isfinite(u)):
         raise NonFiniteSolutionError(

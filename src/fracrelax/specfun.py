@@ -114,13 +114,19 @@ def zeta(s: float) -> float:
             * gamma(1.0 - s)
             * zeta(1.0 - s)
         )
+    return _zeta_em(s, s - 1.0)
+
+
+def _zeta_em(s: float, s_minus_1: float) -> float:
+    """zeta(s) for s >= -1/2 by Euler-Maclaurin summation, given s and s - 1."""
     # zeta(s) = sum_{k<N} k^-s + N^(1-s)/(s-1) + N^-s/2
     #           + sum_{j<=M} B_2j/(2j)! s(s+1)...(s+2j-2) N^(-s-2j+1);
-    # s - 1 is exact next to the pole, and fsum adds the terms, which cancel
-    # next to s = 0, with no rounding beyond their own
+    # s - 1 is exact next to the pole (zeta(1 - alpha) passes -alpha itself),
+    # and fsum adds the terms, which cancel next to s = 0, with no rounding
+    # beyond their own
     n = float(_EM_N)
     terms = [k**-s for k in range(1, _EM_N)]
-    terms += [n ** (1.0 - s) / (s - 1.0), 0.5 * n**-s]
+    terms += [n**-s_minus_1 / s_minus_1, 0.5 * n**-s]
     rising = s
     power = n ** (-s - 1.0)
     for j, coef in enumerate(_EM_COEF, start=1):

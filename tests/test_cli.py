@@ -66,6 +66,14 @@ class TestSweep:
         assert err.startswith("fracrelax: error: exp problem requires X <= 708.78")
 
     @pytest.mark.filterwarnings("error")
+    def test_vanishing_ml_forcing_exits_2(self, capsys):
+        # the default alpha = 0.5 gives Gamma(1 + 2 alpha) = 1, so F = 0
+        assert cli.console_main(["sweep", "--problem", "ml"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("fracrelax: error: ml problem's forcing is 0")
+
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_solve_exits_2(self, capsys):
         # n = 28000: the scheme's sums for e^700 pass the largest double
         argv = ["sweep", "--problem", "exp", "--X", "700", "--h-list", "0.025"]
@@ -305,8 +313,9 @@ class TestCurve:
         assert float(last[3]) == pytest.approx(1.0, abs=0.01)
 
     def test_unresolvable_mittag_leffler_exits_2(self, capsys):
-        # E_{1/2,1}(-x^(1/2)) on [0, 100]: the series cannot resolve it
-        assert cli.console_main(["curve", "--problem", "ml", "--X", "100"]) == 2
+        # E_{0.45,1}(-x^0.45) on [0, 100]: the series cannot resolve it
+        argv = ["curve", "--problem", "ml", "--alpha", "0.45", "--X", "100"]
+        assert cli.console_main(argv) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith("fracrelax: error: mittag_leffler series")

@@ -6,10 +6,16 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fracrelax.fracint import (
     EndpointDerivatives,
+    SchemeCoefficients,
     UniformGrid,
+    _correction_weights,
+    _zeta_coefficients,
+    alpha_in_range,
     corrected_sum_I,
     corrected_trapezoid_K,
     frac_integral_exact_power,
@@ -199,6 +205,65 @@ class TestSchemeCoefficients:
         for bad in (0.0, 1.0, 2.0, -0.5):
             with pytest.raises(ValueError):
                 scheme_coefficients(bad, "A1")
+
+    @staticmethod
+    def hand_written_weights(alpha, tag):
+        """The A1..A4 weights as they were once written out by hand.  They are
+        a function of zeta(1-alpha)..zeta(-2-alpha); zeta(1-alpha) is taken
+        from the same source as the generated weights, whose accuracy at tiny
+        alpha test_zeta_one_minus_alpha_matches_mpmath checks."""
+        z1 = _zeta_coefficients(alpha, 1)[0]
+        z0, zm1, zm2 = zeta(-alpha), zeta(-1.0 - alpha), zeta(-2.0 - alpha)
+        return {
+            "A1": (-z1,),
+            "A2": (z0 - z1, -z0),
+            "A3": (1.5 * z0 - 0.5 * zm1 - z1, -2.0 * z0 + zm1, 0.5 * z0 - 0.5 * zm1),
+            "A4": (
+                11.0 / 6.0 * z0 - zm1 + zm2 / 6.0 - z1,
+                -3.0 * z0 + 2.5 * zm1 - 0.5 * zm2,
+                1.5 * z0 - 2.0 * zm1 + 0.5 * zm2,
+                -z0 / 3.0 + 0.5 * zm1 - zm2 / 6.0,
+            ),
+        }[tag]
+
+    @pytest.mark.parametrize("tag", ["A1", "A2", "A3", "A4"])
+    def test_generated_weights_match_hand_written(self, tag):
+        grid = np.linspace(0.0, 1.0, 122)[1:-1]
+        for alpha in np.concatenate([grid, 1.0 + grid]):
+            want = np.array(self.hand_written_weights(float(alpha), tag))
+            got = np.array(scheme_coefficients(float(alpha), tag).c)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), alpha
+
+    ALPHAS = st.one_of(
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        st.floats(1.0, 2.0, exclude_min=True, exclude_max=True),
+    ).filter(alpha_in_range)
+
+    @given(alpha=ALPHAS, k=st.integers(1, 6))
+    def test_weights_sum_to_minus_zeta_one_minus_alpha(self, alpha, k):
+        # every backward difference sums to 0, so only -zeta_0 is left
+        zeta_0 = _zeta_coefficients(alpha, 1)[0]
+        assert sum(_correction_weights(alpha, k)) == pytest.approx(-zeta_0, rel=1e-13)
+
+    @pytest.mark.parametrize("alpha", [1e-15, 1e-13, 1e-10, 1e-6])
+    def test_zeta_one_minus_alpha_matches_mpmath(self, alpha):
+        # summed from alpha itself, not from the rounded 1 - alpha
+        with mpmath.workdps(40):
+            want = mpmath.zeta(1 - mpmath.mpf(alpha))
+            assert abs((_zeta_coefficients(alpha, 1)[0] - want) / want) <= 5e-16
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    def test_order_k_plus_alpha(self, k, alpha):
+        # k = 5, 6 have no scheme tag, but the generator is not capped at 4
+        c = _correction_weights(alpha, k)
+        coeffs = SchemeCoefficients(alpha=alpha, order_tag=f"A{k}", c=c)
+        exact = frac_integral_exact_power(12.0, alpha, 1.0)
+        e128, e256 = (
+            abs(corrected_sum_I(UniformGrid.sample(lambda x: x**12, 1.0, n), coeffs) - exact)
+            for n in (128, 256)
+        )
+        assert math.log2(e128 / e256) == pytest.approx(k + alpha, abs=0.1)
 
 
 class TestCorrectedSumI:

@@ -80,7 +80,7 @@ class TestMlProblem:
         assert ratio == pytest.approx(0.25 ** (3 * 0.75), rel=1e-12)
 
     def test_exact_at_zero(self):
-        prob = make_ml_problem(3, 0.5)
+        prob = make_ml_problem(3, 0.45)
         assert float(prob.exact(np.array([0.0]))[0]) == pytest.approx(0.0, abs=1e-14)
 
     def test_vanishing_order(self):
@@ -89,6 +89,12 @@ class TestMlProblem:
     def test_validation(self):
         with pytest.raises(ValueError):
             make_ml_problem(1, 0.5)
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.5 + 1e-9, 1e-9])
+    def test_vanishing_forcing_is_refused(self, alpha):
+        # Gamma(1 + 2 alpha) = 1 at alpha = 0.5 (and at 0), where F = 0
+        with pytest.raises(ValueError, match="forcing is 0"):
+            make_ml_problem(2, alpha)
 
     def test_overflowing_forcing_coefficient_is_refused(self):
         # Gamma(1 + 201 * 1.9) is past the double range

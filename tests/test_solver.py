@@ -96,6 +96,19 @@ class TestSolve:
         with pytest.raises(NonFiniteSolutionError, match="forcing is not finite"):
             solve_with_coefficients(lambda x: np.where(x > 0.5, np.nan, x), coeffs, 64)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_forcing_is_refused_without_a_warning(self):
+        # x^400 passes the largest double at x > 5.9
+        with pytest.raises(NonFiniteSolutionError, match="forcing is not finite"):
+            solve(make_power_problem(400, 0.5, X=10), "A", 20)
+
+    @pytest.mark.parametrize("alpha,tol", [(1e-10, 1e-11), (1e-13, 1e-13)])
+    def test_a1_at_tiny_alpha(self, alpha, tol):
+        # c_0 = -zeta(1 - alpha) is about 1/alpha; from the rounded 1 - alpha
+        # its relative error was about 1e-16/alpha
+        u = solve(make_power_problem(4.0, alpha), "A1", 20)
+        assert abs(u.values[-1] - 1.0) < tol
+
     def test_overflowing_step_power_is_refused(self):
         # h = 1e299/16, and h^1.25 passes the largest double
         with pytest.raises(NonFiniteSolutionError, match="h\\^alpha overflows"):
@@ -106,15 +119,15 @@ class TestSolve:
         st.floats(1.0, 2.0, exclude_min=True, exclude_max=True),
     ).filter(alpha_in_range)
     XS = st.floats(0.0, 1e300, exclude_min=True)
+    # make_ml_problem refuses the alpha where Gamma(1 + 2 alpha) = 1 and F = 0
+    ML_ALPHAS = ALPHAS.filter(lambda a: abs(gamma(1.0 + 2.0 * a) - 1.0) >= 1e-8)
     PROBLEMS = st.one_of(
         st.builds(make_power_problem, st.floats(0.0, 1e300, exclude_min=True), ALPHAS, XS),
         st.builds(make_exp_problem, st.integers(0, 12), ALPHAS,
                   st.floats(0.0, 708.78, exclude_min=True)),
-        st.builds(make_ml_problem, st.integers(2, 60), ALPHAS, XS),
+        st.builds(make_ml_problem, st.integers(2, 60), ML_ALPHAS, XS),
     )
 
-    # a forcing such as x^p past the double range warns before it is refused
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @settings(max_examples=60, deadline=None)
     @given(problem=PROBLEMS, tag=st.sampled_from(tuple(STARTUP_ZEROS)), extra=st.integers(0, 60))
     def test_solution_is_finite_or_refused(self, problem, tag, extra):
