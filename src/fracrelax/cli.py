@@ -19,9 +19,11 @@ as the flag --key=value ahead of the command line, so explicit flags win.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
+from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
@@ -88,14 +90,27 @@ def _parse_h_list(spec: str) -> list[float]:
     return hs
 
 
-def _check_step(h: float, X: float) -> None:
-    """Refuse a step that is not finite and positive, or whose run on [0, X]
-    would take more than MAX_STEPS steps."""
+def _check_step(h: float, X: float, schemes: Sequence[str] = (), sweep: bool = False) -> None:
+    """Refuse a step that is not finite and positive, whose run on [0, X]
+    would take more than MAX_STEPS steps, or whose coarsest run takes fewer
+    steps than one of the schemes needs.  A sweep's coarsest run is at 2h
+    (report.sweep), a curve's at h."""
     if not (math.isfinite(h) and h > 0.0):
         raise ValueError(f"steps must be finite and positive, got {h:g}")
     if X / h > MAX_STEPS:
         raise ValueError(f"step {h:g} takes {X / h:.3g} steps on [0, {X:g}], "
                          f"more than {MAX_STEPS}")
+    if not schemes:
+        return
+    tag = max(schemes, key=STARTUP_ZEROS.__getitem__)
+    need = STARTUP_ZEROS[tag] + 2  # the fewest steps solver.solve takes
+    coarsest = 2.0 * h if sweep else h
+    n = round(X / coarsest)
+    if n < need:
+        run = f"a sweep's first run, at 2h = {coarsest:g}, takes" if sweep else "it takes"
+        raise ValueError(f"step {h:g} is too coarse for [0, {X:g}]: {run} {n} "
+                         f"step{'' if n == 1 else 's'}, "
+                         f"and scheme {tag} needs at least {need}")
 
 
 def run_sweep(problem, scheme: str, hs: list[float]) -> ConvergenceReport:
@@ -176,9 +191,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _main_parser() -> argparse.ArgumentParser:
+    """The parser main uses, built on main's first call and then kept:
+    building one costs about ten parses, and a parse leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser = _main_parser()
     args = parser.parse_args(argv)
     if getattr(args, "preset", None):
         preset = [f"--{key.replace('_', '-')}={value}"
@@ -208,29 +230,29 @@ def main(argv: list[str] | None = None) -> int:
         hs = _parse_h_list(args.h_list)
         for h in hs:
             _check_step(h, args.X)
+        _check_step(hs[0], args.X, [args.scheme], sweep=True)
         report = run_sweep(_make_problem(args), args.scheme, hs)
         _emit(report.render(args.format), out)
         return 0
 
     # curve
-    _check_step(args.h, args.X)
-    problem = _make_problem(args)
     schemes = [tok.strip() for tok in args.scheme.split(",")]
     for tag in schemes:
         if tag not in STARTUP_ZEROS:
             parser.error(f"unknown scheme tag {tag!r}")
-    _emit(emit_solution_curve(problem, schemes, args.h), out)
+    _check_step(args.h, args.X, schemes)
+    _emit(emit_solution_curve(_make_problem(args), schemes, args.h), out)
     return 0
 
 
 def console_main(argv: list[str] | None = None) -> int:
     """The ``fracrelax`` command: ``main``, with a ``ValueError`` (a malformed
     preset or h list, an infinite X or p, a step that is not finite and
-    positive or takes more than MAX_STEPS steps, a rejected problem, a
-    Mittag-Leffler value the series cannot resolve) or an ``OSError`` (a
-    preset or --out path that cannot be read or written) reported as one line
-    and exit code 2, as for bad arguments, instead of a traceback.  ``main``
-    itself lets them propagate."""
+    positive, takes more than MAX_STEPS steps or too few for the scheme, a
+    rejected problem, a Mittag-Leffler value the series cannot resolve) or an
+    ``OSError`` (a preset or --out path that cannot be read or written)
+    reported as one line and exit code 2, as for bad arguments, instead of a
+    traceback.  ``main`` itself lets them propagate."""
     try:
         return main(argv)
     except (ValueError, OSError) as exc:

@@ -7,12 +7,19 @@ array of its shape.  Gamma is ``math.gamma`` with a pole guard.  The one
 precomputed table (zeta's Euler-Maclaurin coefficients B_2j/(2j)!) is built
 once at import time and never mutated, so every entry point is safe to call
 concurrently.
+
+``mittag_leffler`` sums its power series over all points of ``z`` at once,
+a block of up to 16 terms at a time: Python loops over the terms of a block
+with a few whole-row numpy calls each, and tests convergence once per block.
+A block holds at most 2^18 values per array (one term row, if that is more),
+so a call on many points needs no more memory than a term-at-a-time sum.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -141,6 +148,9 @@ def _zeta_em(s: float, s_minus_1: float) -> float:
 # ---------------------------------------------------------------------------
 
 _ML_MAX_TERMS = 10_000
+# rows (terms) and elements of one block of the series' running sums
+_ML_BLOCK_ROWS = 16
+_ML_BLOCK_SIZE = 2**18
 _ML_RTOL = 1e-16
 # an alternating series loses about (largest term) * eps to cancellation;
 # past this absolute error, scaled by max(1, |E|), the sum is refused
@@ -179,6 +189,13 @@ def mittag_leffler(alpha: float, beta: float, z: float | np.ndarray) -> float | 
     argument or a power past the double-precision range are evaluated in log
     space.
 
+    The series is summed a block of terms at a time.  A block's terms fill a
+    (terms x live points) array row by row, and its Kahan sums a second one;
+    the convergence, overflow and cancellation tests then run once over the
+    block, each point stopping at its own first converged term, and the
+    points still live are compacted once.  A block has at most 16 terms and,
+    unless a single term row is larger, 2^18 elements (2 MB per array).
+
     Raises ConvergenceError, naming the lowest-index refused z, if a point's
     term-magnitude guard is not met within 10,000 terms, if cancellation
     between its largest term and its sum could leave an error above
@@ -194,55 +211,119 @@ def mittag_leffler(alpha: float, beta: float, z: float | np.ndarray) -> float | 
     if refused.any():
         raise _ml_refusal(alpha, beta, zs, refused)
     out = np.empty(zs.size)
-    # the points whose series is still being summed, and their state
-    idx = np.arange(zs.size)
     logabsz = np.full(zs.size, -np.inf)
     np.log(np.abs(zv), out=logabsz, where=zv != 0.0)
-    zn = np.ones(zs.size)
-    total = np.zeros(zs.size)
-    comp = np.zeros(zs.size)
-    largest = np.zeros(zs.size)
+    # the points whose series is still being summed: index, z, log|z|, z^n,
+    # sum, Kahan compensation and largest |term| so far
+    live = (np.arange(zs.size), zv, logabsz, np.ones(zs.size), np.zeros(zs.size),
+            np.zeros(zs.size), np.zeros(zs.size))
+    maxlog = float(logabsz.max(initial=-np.inf))
+    n = 0
     # z^(n+1) overflows only where the next term is due in log space, which
     # never reads it; a term or sum that overflows (and the nan its Kahan
     # compensation then takes) is refused below; 0 * log|0| at n = 0 is nan,
     # which compares False
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(_ML_MAX_TERMS):
-            if idx.size == 0:
-                break
-            arg = alpha * n + beta
-            # gamma(arg) or z^n would overflow a double; work in log space
-            if arg > 170.0:
-                in_log = np.ones(idx.size, dtype=bool)
-                term = np.empty(idx.size)
-            else:
-                in_log = n * logabsz > 690.0
-                term = zn / gamma(arg)
-                zn *= zv
-            if in_log.any():
-                log_term = n * logabsz[in_log] - math.lgamma(arg)
-                sign = np.where(zv[in_log] < 0.0, -1.0, 1.0) if n % 2 else 1.0
-                term[in_log] = np.where(log_term < -600.0, 0.0, sign * np.exp(log_term))
-            y = term - comp
-            t = total + y
-            comp = (t - total) - y
-            total = t
-            largest = np.maximum(largest, np.abs(term))
-            done = np.abs(term) < _ML_RTOL * (1.0 + np.abs(total))
-            overflow = np.isinf(total)
-            finished = done | overflow
-            if not finished.any():
-                continue
-            out[idx[finished]] = total[finished]
-            cancel = done & (largest * 2.0**-52 > _ML_ATOL * np.maximum(1.0, np.abs(total)))
-            refused[idx[cancel]] = 1
-            refused[idx[overflow]] = 2
-            keep = ~finished
-            idx, zv, logabsz, zn, total, comp, largest = (
-                a[keep] for a in (idx, zv, logabsz, zn, total, comp, largest))
-    refused[idx] = 3
+        while live[0].size and n < _ML_MAX_TERMS:
+            n, live = _ml_block(alpha, beta, n, maxlog, live, out, refused)
+    refused[live[0]] = 3
     if refused.any():
         raise _ml_refusal(alpha, beta, zs, refused)
     if zs.ndim == 0:
         return float(out[0])
     return out.reshape(zs.shape)
+
+
+def _ml_block(
+    alpha: float, beta: float, n: int, maxlog: float, live: tuple[np.ndarray, ...],
+    out: np.ndarray, refused: np.ndarray,
+) -> tuple[int, tuple[np.ndarray, ...]]:
+    """Sum one block of terms, from term n on, for the live points (see
+    mittag_leffler; maxlog is the largest log|z|).  A point whose series
+    finishes in the block gets its value in ``out`` and its refusal code, if
+    any, in ``refused``.  Returns the next term's n and the state of the
+    points still live; z^n and the compensation are updated in place."""
+    idx, zv, logabsz, zn, total, comp, largest = live
+    size = idx.size
+    if alpha * n + beta <= 0.0:
+        # a gamma pole may lie ahead, and its term is due only while a point
+        # is still live
+        rows = 1
+    else:
+        rows = min(_ML_BLOCK_ROWS, max(1, _ML_BLOCK_SIZE // size), _ML_MAX_TERMS - n)
+    args = [alpha * k + beta for k in range(n, n + rows)]
+    # terms whose gamma argument is at most 170 and whose n log|z| is at most
+    # 690 at every point need no log space
+    fast = 0
+    while fast < rows and not (args[fast] > 170.0 or (n + fast) * maxlog > 690.0):
+        fast += 1
+    rows = fast or rows
+    terms = np.empty((rows, size))
+    if fast:
+        # z^n .. z^(n+rows-1), each row the one before times z, then z^(n+rows)
+        terms[0] = zn
+        for p0, p1 in zip(terms, chain(terms[1:], (zn,))):
+            np.multiply(p0, zv, out=p1)
+        terms /= np.array([gamma(a) for a in args[:rows]])[:, None]
+    else:
+        for k, (arg, term) in enumerate(zip(args, terms), start=n):
+            # gamma(arg) or z^k would overflow a double; work in log space
+            if arg > 170.0:
+                in_log = np.ones(size, dtype=bool)
+            else:
+                in_log = k * logabsz > 690.0
+                np.divide(zn, gamma(arg), out=term)
+                zn *= zv
+            if in_log.any():
+                log_term = k * logabsz[in_log] - math.lgamma(arg)
+                sign = np.where(zv[in_log] < 0.0, -1.0, 1.0) if k % 2 else 1.0
+                term[in_log] = np.where(log_term < -600.0, 0.0, sign * np.exp(log_term))
+    # Kahan rows: sums[r] is the sum up to the term of row r
+    sums = np.empty((rows, size))
+    y = np.empty(size)
+    for term, t0, t1 in zip(terms, chain((total,), sums), sums):
+        np.subtract(term, comp, out=y)
+        np.add(t0, y, out=t1)
+        np.subtract(t1, t0, out=comp)
+        np.subtract(comp, y, out=comp)
+    terms = np.abs(terms, out=terms)
+    # the largest |term| up to the block's end, in y, which the sums are done with
+    top = np.maximum(terms.max(axis=0, out=y), largest, out=y)
+    # each point finishes at its first row whose term is below the tolerance
+    # or whose sum overflows; a sum that overflowed stays inf or nan, so the
+    # last row shows whether any did
+    finished = _ml_converged(terms, sums)
+    overflow = not math.isfinite(sums[-1].sum())
+    if overflow:
+        finished |= np.isinf(sums)
+    hit = finished.any(axis=0)
+    cols = np.flatnonzero(hit)
+    live = (idx, zv, logabsz, zn, sums[-1], comp, top)
+    if not cols.size:
+        return n + rows, live
+    first = finished[:, cols].argmax(axis=0)
+    ended = sums.take(first * size + cols)
+    ended_idx = idx[cols]
+    out[ended_idx] = ended
+    # a term of at most 1e-10 * 2^52 costs no more than 1e-10 to cancellation;
+    # past it, the largest term up to each point's finishing row decides
+    if not top.max() <= _ML_ATOL * 2.0**52:
+        upto = np.arange(rows)[:, None] <= first
+        peak = np.where(upto, terms[:, cols], 0.0).max(axis=0)
+        np.maximum(peak, largest[cols], out=peak)
+        cancel = peak * 2.0**-52 > _ML_ATOL * np.maximum(1.0, np.abs(ended))
+        refused[ended_idx[cancel]] = 1
+    if overflow:
+        refused[ended_idx[np.isinf(ended)]] = 2
+    keep = np.flatnonzero(~hit)
+    return n + rows, tuple(a.take(keep) for a in live)
+
+
+def _ml_converged(abs_terms: np.ndarray, sums: np.ndarray) -> np.ndarray:
+    """Where a term is below the series' tolerance, 1e-16 * (1 + |sum|); a
+    function of its own, so that the tolerances are freed before the block's
+    points are compacted."""
+    tol = np.abs(sums)
+    tol += 1.0
+    tol *= _ML_RTOL
+    return abs_terms < tol

@@ -6,6 +6,9 @@ import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -204,6 +207,37 @@ class TestSweep:
         assert cli.console_main(argv) == 2
 
 
+class TestParser:
+    """main parses with one parser per process, which no call changes."""
+
+    H = ("--h-list", "0.05,0.025")
+
+    def test_flag_does_not_outlive_its_call(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "--alpha", "0.3", *self.H)
+        assert code == 0 and "alpha=0.3" in out
+        code, out, _ = run_cli(capsys, "sweep", *self.H)
+        assert code == 0 and "alpha=0.5" in out
+
+    def test_preset_does_not_outlive_its_call(self, capsys, tmp_path):
+        preset = tmp_path / "exp.preset"
+        preset.write_text("problem=exp\nm=1\nalpha=0.25\nscheme=A2\n")
+        code, out, _ = run_cli(capsys, "sweep", "--preset", str(preset), *self.H)
+        assert code == 0 and "label=exp[m=1]" in out and "alpha=0.25" in out
+        code, out, _ = run_cli(capsys, "sweep", *self.H)
+        assert code == 0
+        assert "label=power[p=4]" in out and "alpha=0.5" in out and "scheme=A1" in out
+
+    def test_one_parser_for_main_and_a_fresh_one_from_build_parser(self):
+        assert cli._main_parser() is cli._main_parser()
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_import_builds_no_parser(self):
+        code = ("import fracrelax.cli as cli; "
+                "assert cli._main_parser.cache_info().currsize == 0")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
 class TestRejectedStepsAndSizes:
     """A step or size the runs cannot use exits 2 with one error line before
     any problem is built."""
@@ -231,6 +265,36 @@ class TestRejectedStepsAndSizes:
         cli._check_step(1.0 / cli.MAX_STEPS, 1.0)
         with pytest.raises(ValueError, match="more than 1048576"):
             cli._check_step(1.0 / cli.MAX_STEPS, 1.0 + 1e-9)
+
+    @pytest.mark.parametrize("case", [
+        (("curve", "--X", "1", "--h", "0.7"),
+         "step 0.7 is too coarse for [0, 1]: it takes 1 step, and scheme A needs at least 2"),
+        (("curve", "--h", "0.4", "--scheme", "A1,A4"),
+         "step 0.4 is too coarse for [0, 1]: it takes 2 steps, and scheme A4 needs at least 4"),
+        (("sweep", "--h-list", "0.5,0.25"),
+         "step 0.5 is too coarse for [0, 1]: a sweep's first run, at 2h = 1, takes 1 step, "
+         "and scheme A1 needs at least 2"),
+        (("sweep", "--h-list", "0.3,0.2", "--scheme", "A3"),
+         "step 0.3 is too coarse for [0, 1]: a sweep's first run, at 2h = 0.6, takes 2 steps, "
+         "and scheme A3 needs at least 3"),
+    ], ids=lambda case: " ".join(case[0]))
+    def test_too_coarse_step_exits_2_with_one_line(self, capsys, monkeypatch, case):
+        argv, message = case
+        def unreachable(args):
+            raise AssertionError("problem built before its step was checked")
+
+        monkeypatch.setattr(cli, "_make_problem", unreachable)
+        assert cli.console_main(list(argv)) == 2
+        assert capsys.readouterr().err == f"fracrelax: error: {message}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("curve", "--X", "1", "--h", "0.5"),
+        ("sweep", "--h-list", "0.25,0.125", "--scheme", "A2"),
+        ("sweep", "--h-list", "0.5,0.25", "--scheme", "A4", "--X", "4"),
+    ], ids=" ".join)
+    def test_coarsest_step_a_scheme_takes_runs(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
 
 
 class TestResidualCheck:

@@ -3,6 +3,7 @@ identities."""
 
 import math
 import random
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -332,3 +333,157 @@ class TestMittagLefflerNamedErrors:
         monkeypatch.setattr(specfun, "gamma", no_term)
         with pytest.raises(ConvergenceError, match=reason):
             mittag_leffler(0.5, 1.0, z)
+
+
+def _ml_trace(alpha: float, beta: float, z: float) -> tuple[int | None, object]:
+    """The one-point series of scalar_ml_reference, returning the row (term
+    index) at which it stops and its outcome: the value, "cancellation",
+    "overflow", or (None, "no convergence").  A term past the double range
+    is inf here, as in the array evaluation."""
+    total = comp = largest = 0.0
+    zn = 1.0
+    logabsz = math.log(abs(z)) if z != 0.0 else -math.inf
+    for n in range(10_000):
+        arg = alpha * n + beta
+        if arg > 170.0 or n * logabsz > 690.0:
+            sign = -1.0 if (z < 0.0 and n % 2) else 1.0
+            log_term = n * logabsz - math.lgamma(arg)
+            try:
+                term = 0.0 if log_term < -600.0 else sign * math.exp(log_term)
+            except OverflowError:
+                term = sign * math.inf
+        else:
+            term = zn / gamma(arg)
+            zn *= z
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        largest = max(largest, abs(term))
+        if math.isinf(total):
+            return n, "overflow"
+        if abs(term) < 1e-16 * (1.0 + abs(total)):
+            if largest * 2.0**-52 > 1e-10 * max(1.0, abs(total)):
+                return n, "cancellation"
+            return n, total
+    return None, "no convergence"
+
+
+def _first_log_row(z: float) -> int:
+    """The first row whose term is due in log space because n log|z| > 690."""
+    return math.floor(690.0 / math.log(abs(z))) + 1
+
+
+class TestMittagLefflerBlocks:
+    """The series is summed a block of rows (terms) at a time; where a point
+    stops inside a block, or how many blocks the points of one array span,
+    changes no value and no refusal."""
+
+    ROWS = specfun._ML_BLOCK_ROWS
+
+    @staticmethod
+    def _z_stopping_at(alpha, beta, row):
+        """The smallest z on a fine grid of (0, 40] whose series stops at row."""
+        for k in range(1, 40_001):
+            z = k * 1e-3
+            if _ml_trace(alpha, beta, z)[0] == row:
+                return z
+        raise AssertionError(f"no z stops at row {row}")
+
+    @pytest.mark.parametrize("edge", [1, 2])
+    @pytest.mark.parametrize("shift", [-1, 0, 1], ids=["before", "at", "after"])
+    def test_series_stopping_next_to_a_block_edge(self, edge, shift):
+        # row edge * ROWS - 1 ends a block; the row after it starts the next
+        row = edge * self.ROWS - 1 + shift
+        z = self._z_stopping_at(1.0, 1.5, row)
+        want = scalar_ml_reference(1.0, 1.5, z)
+        assert mittag_leffler(1.0, 1.5, z) == want
+        got = mittag_leffler(1.0, 1.5, np.array([0.5 * z, z, 0.0, -z]))
+        assert got[1] == want
+        assert got.tolist() == [mittag_leffler(1.0, 1.5, v) for v in (0.5 * z, z, 0.0, -z)]
+
+    def test_points_finishing_in_three_blocks(self):
+        zs = np.array([8.0, 0.01, 2.0, 10.0, 0.5])
+        rows = [_ml_trace(1.0, 1.0, float(z))[0] for z in zs]
+        assert len({r // self.ROWS for r in rows}) == 3
+        got = mittag_leffler(1.0, 1.0, zs)
+        assert got.tolist() == [scalar_ml_reference(1.0, 1.0, float(z)) for z in zs]
+
+    def test_cancellation_mid_block_names_the_lowest_index_point(self):
+        row, outcome = _ml_trace(0.5, 1.0, -4.5)
+        assert outcome == "cancellation" and row % self.ROWS not in (0, self.ROWS - 1)
+        with pytest.raises(ConvergenceError) as one:
+            mittag_leffler(0.5, 1.0, -4.5)
+        # 44.0 overflows too, at a later row
+        with pytest.raises(ConvergenceError) as exc:
+            mittag_leffler(0.5, 1.0, np.array([0.25, -4.5, 44.0, 1.0]))
+        assert str(exc.value) == str(one.value)
+        assert "loses accuracy to cancellation" in str(exc.value)
+
+    def test_overflow_mid_block_names_the_lowest_index_point(self):
+        # overflows at sixteen successive rows, so that some stop mid-block
+        # whatever the block boundaries past the first log-space row
+        by_row = {}
+        for k in range(800):
+            z = 41.0 + k * 0.01
+            row, outcome = _ml_trace(0.5, 1.0, z)
+            assert outcome == "overflow"
+            by_row.setdefault(row, z)
+        rows = sorted(by_row)[:self.ROWS]
+        assert rows == list(range(rows[0], rows[0] + self.ROWS))
+        for row in rows:
+            z = by_row[row]
+            with pytest.raises(ConvergenceError) as one:
+                mittag_leffler(0.5, 1.0, z)
+            # -4.5 stops first, refused for cancellation, but comes later
+            with pytest.raises(ConvergenceError) as exc:
+                mittag_leffler(0.5, 1.0, np.array([0.25, z, -4.5, 1.0]))
+            assert str(exc.value) == str(one.value)
+            assert "overflows a double" in str(exc.value)
+
+    def test_term_switching_to_log_space_mid_block(self):
+        zs = np.array([800.0, 750.0, 0.5])
+        switch = _first_log_row(800.0)
+        assert switch % self.ROWS != 0
+        # at that row 750 is still summed, without log space
+        assert _first_log_row(750.0) > switch
+        assert _ml_trace(1.5, 1.0, 750.0)[0] > switch
+        got = mittag_leffler(1.5, 1.0, zs)
+        assert got.tolist() == [mittag_leffler(1.5, 1.0, float(z)) for z in zs]
+        for v, z in zip(got, zs):
+            assert v == pytest.approx(scalar_ml_reference(1.5, 1.0, float(z)), rel=4.5e-16, abs=0.0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        alpha=st.floats(0.05, 2.0),
+        beta=st.floats(0.5, 5.0),
+        zs=st.lists(st.floats(-60.0, 60.0), min_size=1, max_size=200),
+    )
+    def test_each_of_many_elements_is_the_scalar_call(self, alpha, beta, zs):
+        scalars = []
+        refused = None
+        for z in zs:
+            try:
+                scalars.append(mittag_leffler(alpha, beta, z))
+            except ConvergenceError as exc:
+                refused = exc
+                break
+        if refused is None:
+            assert mittag_leffler(alpha, beta, np.array(zs)).tolist() == scalars
+        else:
+            with pytest.raises(ConvergenceError) as exc:
+                mittag_leffler(alpha, beta, np.array(zs))
+            assert str(exc.value) == str(refused)
+
+    def test_memory_of_a_large_call_stays_bounded(self):
+        # 192,001 points of the exp problem's forcing at X = 600: the
+        # term-at-a-time loop the block sum replaced peaked at 26.2 MB of
+        # traced allocations here; blocks may add at most 8 MB to that
+        x = np.linspace(0.0, 600.0, 192_001)
+        tracemalloc.start()
+        try:
+            mittag_leffler(1.0, 1.5, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (26.2 + 8.0) * 2**20
