@@ -117,20 +117,22 @@ def run_sweep(problem, scheme: str, hs: list[float]) -> ConvergenceReport:
     """Convergence report of the scheme on the problem over the steps hs
     (solver.convergence_sweep).
 
-    The (forcing, exact) pair is rejected when its residual exceeds 1e-6 at
-    n=1024 and at n=2048 and does not halve between the two.  A valid pair's
-    residual is the check's own quadrature error, which falls by at least
-    2^(1+nu) per halving of the step (nu > 0 is the exponent of y at 0) but
-    can exceed any absolute bound when y is large or barely smooth at 0; a
+    The (forcing, exact) pair is rejected when its relative residual
+    (residual_check, scaled by the problem's largest |y| or |F|) exceeds 1e-6
+    at n=1024 and at n=2048 and does not halve between the two.  A valid
+    pair's residual is the check's own quadrature error, which falls by at
+    least 2^(1+nu) per halving of the step (nu > 0 is the exponent of y at 0)
+    but can exceed any absolute bound when y is large or barely smooth at 0,
+    and its rounding error, which grows with the scale and does not fall; a
     wrong pair leaves a residual that does not fall.
     """
-    res = residual_check(problem, samples=8, n=1024)
+    res = residual_check(problem, samples=8, n=1024, relative=True)
     if res > 1e-6:
-        res2 = residual_check(problem, samples=8, n=2048)
+        res2 = residual_check(problem, samples=8, n=2048, relative=True)
         if res2 > 1e-6 and res2 > res / 2.0:
             raise ValueError(
-                f"problem failed residual check: {res2:.3e} at n=2048, "
-                f"{res:.3e} at n=1024"
+                f"problem failed residual check: relative residual {res2:.3e} "
+                f"at n=2048, {res:.3e} at n=1024"
             )
     return convergence_sweep(problem, scheme, hs, label=problem.label, alpha=problem.alpha)
 
@@ -249,10 +251,14 @@ def console_main(argv: list[str] | None = None) -> int:
     """The ``fracrelax`` command: ``main``, with a ``ValueError`` (a malformed
     preset or h list, an infinite X or p, a step that is not finite and
     positive, takes more than MAX_STEPS steps or too few for the scheme, a
-    rejected problem, a Mittag-Leffler value the series cannot resolve) or an
+    rejected problem, a Mittag-Leffler value that cannot be resolved) or an
     ``OSError`` (a preset or --out path that cannot be read or written)
     reported as one line and exit code 2, as for bad arguments, instead of a
-    traceback.  ``main`` itself lets them propagate."""
+    traceback.  ``main`` itself lets them propagate.  The ml problems'
+    Mittag-Leffler arguments -x^alpha are resolved for every accepted alpha
+    and X (the contour takes those past the series' reach), so only a
+    positive argument whose value overflows, as the exp forcing has past
+    its X limit, is refused there."""
     try:
         return main(argv)
     except (ValueError, OSError) as exc:

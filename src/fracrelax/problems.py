@@ -156,9 +156,13 @@ def make_ml_problem(m: int, alpha: float, X: float = 1.0) -> BenchmarkProblem:
     )
 
 
-def residual_check(problem: BenchmarkProblem, samples: int = 20, n: int = 4096) -> float:
+def residual_check(
+    problem: BenchmarkProblem, samples: int = 20, n: int = 4096, *, relative: bool = False
+) -> float:
     """max over sample points of |y(x) + Q(x) - F(x)| with Q a high-resolution
-    end-corrected (order 4+alpha) quadrature of I^alpha y.  Raises ValueError
+    end-corrected (order 4+alpha) quadrature of I^alpha y; with ``relative``,
+    divided by max(1, s), s the largest |y| or |F| at the sample points, the
+    scale that the residual's rounding error grows with.  Raises ValueError
     when y or F is not finite on the points it is evaluated at.
     """
     if samples < 2:
@@ -176,4 +180,6 @@ def residual_check(problem: BenchmarkProblem, samples: int = 20, n: int = 4096) 
         grid = UniformGrid(X=x[m], n=m, values=y[: m + 1])
         q = corrected_sum_I(grid, coeffs)
         worst = max(worst, abs(y[m] + q - float(f_m)))
+    if relative:
+        worst /= max(1.0, float(np.abs(y[ms]).max()), float(np.abs(f).max()))
     return worst

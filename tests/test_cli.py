@@ -299,7 +299,8 @@ class TestRejectedStepsAndSizes:
 
 class TestResidualCheck:
     """run_sweep rejects a (forcing, exact) pair by the decay of its residual
-    between n=1024 and n=2048, not by its size at n=1024."""
+    between n=1024 and n=2048, not by its size at n=1024, and not below
+    1e-6 of the problem's own scale."""
 
     @pytest.mark.parametrize("argv", [
         # residual 1.6e-6 -> 6.5e-7: y ~ x^(3 alpha) is barely smooth at 0
@@ -320,6 +321,8 @@ class TestResidualCheck:
         (make_power_problem(0.5, 0.85, X=8.0), "shift"),
         (make_exp_problem(0, 0.5, X=50.0), "scale"),
         (make_exp_problem(2, 0.5), "shift"),
+        # |F| reaches 1.6e10, where the valid pair's rounding error is 6e-4
+        (make_ml_problem(2, 1.94, X=100.0), "scale"),
     ], ids=lambda v: v if isinstance(v, str) else f"{v.label}-X{v.X:g}")
     def test_perturbed_pair_is_rejected(self, problem, perturb):
         forcing = problem.forcing
@@ -376,13 +379,21 @@ class TestCurve:
         assert float(last[2]) == pytest.approx(1.0, abs=0.05)
         assert float(last[3]) == pytest.approx(1.0, abs=0.01)
 
-    def test_unresolvable_mittag_leffler_exits_2(self, capsys):
-        # E_{0.45,1}(-x^0.45) on [0, 100]: the series cannot resolve it
+    def test_mittag_leffler_past_the_series_exits_0(self, capsys):
+        # E_{0.45,1}(-x^0.45) on [0, 100]: the series cannot resolve it past
+        # x = 15.3, and the contour takes those points
         argv = ["curve", "--problem", "ml", "--alpha", "0.45", "--X", "100"]
-        assert cli.console_main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert err.startswith("fracrelax: error: mittag_leffler series")
+        assert cli.console_main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert len(out.splitlines()) == 2002  # header + 2001 nodes at h = 0.05
+
+    @pytest.mark.parametrize("command", ["sweep", "curve"])
+    @pytest.mark.parametrize("alpha", ["0.1", "0.45", "0.7", "1.25", "1.5", "1.94"])
+    def test_ml_problem_up_to_x_100(self, capsys, command, alpha):
+        argv = [command, "--problem", "ml", "--alpha", alpha, "--X", "100"]
+        assert cli.console_main(argv) == 0
+        assert capsys.readouterr().err == ""
 
     def test_two_schemes_evaluate_forcing_once(self):
         problem = make_exp_problem(2, 0.6, X=2.0)

@@ -131,6 +131,16 @@ class TestResidualCheck:
         assert residual_check(counted, samples=8, n=1024) == per_point_residual(prob, 8, 1024)
         assert calls == [8]
 
+    def test_relative_residual_of_a_large_problem(self):
+        # on [0, 100] the ml problem's |F| reaches 1.6e10 at alpha = 1.94,
+        # and its residual, 6e-4, sits at the rounding error of that scale
+        prob = make_ml_problem(2, 1.94, X=100.0)
+        x = np.linspace(0.0, 100.0, 1025)[[128 * j for j in range(1, 9)]]
+        scale = max(1.0, np.abs(prob.exact(x)).max(), np.abs(prob.forcing(x)).max())
+        res = residual_check(prob, samples=8, n=1024)
+        assert residual_check(prob, samples=8, n=1024, relative=True) == res / scale
+        assert res / scale <= 1e-12
+
     def test_validation(self):
         with pytest.raises(ValueError):
             residual_check(make_power_problem(4.0, 0.5), samples=1)

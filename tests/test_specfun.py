@@ -212,9 +212,10 @@ class TestMittagLeffler:
 
     @pytest.mark.parametrize("z", [-5.0, -10.0])
     def test_cancellation_raises(self, z):
-        # the alternating series cannot resolve E_{1/2,1}(z) to 1e-10 here
+        # the alternating series cannot resolve E_{1/2,1}(z) to 1e-10 here;
+        # mittag_leffler takes such points to the contour
         with pytest.raises(ConvergenceError):
-            mittag_leffler(0.5, 1.0, z)
+            specfun._ml_series(0.5, 1.0, z)
 
     def test_alpha_validation(self):
         with pytest.raises(ValueError):
@@ -222,7 +223,8 @@ class TestMittagLeffler:
 
 
 class TestMittagLefflerArrays:
-    """The array evaluation against the one-point series it replaced."""
+    """The array evaluation against the one-point series it replaced, and
+    each element of an array call against its one-point call."""
 
     @staticmethod
     def _reference(alpha, beta, zs):
@@ -248,7 +250,7 @@ class TestMittagLefflerArrays:
                            for _ in range(30)])
             ref = self._reference(alpha, beta, zs)
             ok = [i for i, v in enumerate(ref) if v is not None]
-            got = mittag_leffler(alpha, beta, zs[ok])
+            got = specfun._ml_series(alpha, beta, zs[ok])
             for i, v in zip(ok, got):
                 if abs(ref[i]) < 1e30:
                     assert v == ref[i], (alpha, beta, zs[i])
@@ -301,18 +303,26 @@ class TestMittagLefflerArrays:
         # finish its series first
         z = np.array([[0.1, -3.0], [-10.0, -5.0]])
         with pytest.raises(ConvergenceError, match=r"z=-10\.0;"):
-            mittag_leffler(0.5, 1.0, z)
+            specfun._ml_series(0.5, 1.0, z)
 
 
 class TestMittagLefflerNamedErrors:
     """Arguments past the series' reach raise ConvergenceError, with no
-    numpy warning and no bare OverflowError or inf on the way."""
+    numpy warning and no bare OverflowError or inf on the way.  Of them,
+    mittag_leffler still refuses a z > 0 and an infinite or nan z; a z < 0
+    goes to the contour."""
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "alpha,z", [(0.5, -30.0), (0.1, -2.0), (0.5, 40.0), (0.5, math.inf), (0.5, 1e308)]
     )
     def test_overflow_is_refused(self, alpha, z):
+        with pytest.raises(ConvergenceError, match="overflows a double"):
+            specfun._ml_series(alpha, 1.0, z)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("alpha,z", [(0.5, 40.0), (0.5, math.inf), (0.5, 1e308)])
+    def test_positive_overflow_is_refused_by_mittag_leffler(self, alpha, z):
         with pytest.raises(ConvergenceError, match="overflows a double"):
             mittag_leffler(alpha, 1.0, z)
 
@@ -413,10 +423,10 @@ class TestMittagLefflerBlocks:
         row, outcome = _ml_trace(0.5, 1.0, -4.5)
         assert outcome == "cancellation" and row % self.ROWS not in (0, self.ROWS - 1)
         with pytest.raises(ConvergenceError) as one:
-            mittag_leffler(0.5, 1.0, -4.5)
+            specfun._ml_series(0.5, 1.0, -4.5)
         # 44.0 overflows too, at a later row
         with pytest.raises(ConvergenceError) as exc:
-            mittag_leffler(0.5, 1.0, np.array([0.25, -4.5, 44.0, 1.0]))
+            specfun._ml_series(0.5, 1.0, np.array([0.25, -4.5, 44.0, 1.0]))
         assert str(exc.value) == str(one.value)
         assert "loses accuracy to cancellation" in str(exc.value)
 
@@ -483,6 +493,177 @@ class TestMittagLefflerBlocks:
         tracemalloc.start()
         try:
             mittag_leffler(1.0, 1.5, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (26.2 + 8.0) * 2**20
+
+
+def _ml_at_x(alpha: float, beta: float, x: float) -> float:
+    """E_{alpha,beta}(-x^alpha) by its power series in mpmath, at x/2.3 + 30
+    digits: the largest term is about e^x, and the sum is summed past it."""
+    with mpmath.workdps(int(x / 2.3) + 30):
+        a, b = mpmath.mpf(alpha), mpmath.mpf(beta)
+        z = -mpmath.mpf(x) ** a
+        total, zk, k = mpmath.mpf(0), mpmath.mpf(1), 0
+        while True:
+            term = zk * mpmath.rgamma(a * k + b)
+            total += term
+            if a * k + b > x + 10 and abs(term) < mpmath.eps * abs(total):
+                return float(total)
+            zk *= z
+            k += 1
+
+
+def _ml_inverse_n(n: int, z: float) -> float:
+    """E_{1/n,1}(z) for even n and z < 0 in closed form: the sum of
+    z^k E_{1,1+k/n}(z^n), k < n, is e^w (1 + sum_k (-1)^k P(k/n, w)) with
+    w = z^n and P the regularized lower incomplete gamma function."""
+    w = mpmath.mpf(z) ** n
+    with mpmath.workdps(int(w / 2.3) + 30):
+        w = mpmath.mpf(z) ** n
+        acc = mpmath.fsum((-1) ** k * mpmath.gammainc(mpmath.mpf(k) / n, 0, w, regularized=True)
+                          for k in range(1, n))
+        return float(mpmath.exp(w) * (1 + acc))
+
+
+# the alpha values of tables 1-10, and values near 0 and 2 and in between
+TABLE_ALPHAS = (0.25, 0.3, 0.35, 0.4, 0.5, 0.6, 0.65, 0.7, 0.75,
+                1.25, 1.3, 1.35, 1.5, 1.65, 1.7, 1.75)
+ORACLE_ALPHAS = sorted(set(TABLE_ALPHAS) | {0.1, 0.45, 1.25, 1.5, 1.94})
+ORACLE_XS = (0.0, 0.5, 2.0, 7.0, 15.0, 16.0, 30.0, 60.0, 100.0)
+
+
+class TestMittagLefflerContour:
+    """z < 0 past the series' reach goes to the contour integral, point by
+    point; the series keeps every other point, bit for bit."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("alpha", ORACLE_ALPHAS)
+    def test_matches_mpmath_up_to_x_100(self, alpha):
+        # E_{alpha,1} and E_{alpha,1+3alpha} at z = -x^alpha, the ml problem's
+        # exact solution, on [0, 100]
+        x = np.array(ORACLE_XS)
+        for beta in (1.0, 1.0 + 3.0 * alpha):
+            got = mittag_leffler(alpha, beta, -x**alpha)
+            for xi, v in zip(ORACLE_XS, got):
+                want = _ml_at_x(alpha, beta, xi)
+                assert abs(v - want) <= 1e-10 * max(1.0, abs(want)), (beta, xi)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n,z", [(2, -5.0), (2, -10.0), (2, -30.0), (10, -2.0), (2, -4.5)])
+    def test_series_refusals_are_resolved(self, n, z):
+        # the inputs, alpha = 1/n, at which the tests above pin the series'
+        # refusals
+        want = _ml_inverse_n(n, z)
+        assert abs(mittag_leffler(1.0 / n, 1.0, z) - want) <= 1e-10 * max(1.0, abs(want))
+
+    def test_refused_arrays_are_resolved(self):
+        z = np.array([[0.1, -3.0], [-10.0, -5.0]])
+        got = mittag_leffler(0.5, 1.0, z)
+        assert got[0, 0] == specfun._ml_series(0.5, 1.0, 0.1)
+        for v, zi in zip(got.ravel()[1:], z.ravel()[1:]):
+            want = _ml_inverse_n(2, zi)
+            assert abs(v - want) <= 1e-10 * max(1.0, abs(want))
+        # 44.0 still overflows
+        with pytest.raises(ConvergenceError, match=r"overflows a double .* z=44\.0;"):
+            mittag_leffler(0.5, 1.0, np.array([0.25, -4.5, 44.0, 1.0]))
+
+    def test_every_series_refusal_goes_to_the_contour(self):
+        for alpha in np.linspace(0.05, 1.99, 14):
+            for beta in (0.01, 0.5, 1.0, 1.0 + 3.0 * alpha, 4.0):
+                zs = -np.linspace(0.5, 30.0, 60) ** alpha
+                routed = specfun._ml_routes_to_contour(alpha, beta, zs)
+                for z in zs[~routed]:
+                    specfun._ml_series(alpha, beta, float(z))
+                assert np.all(np.isfinite(mittag_leffler(alpha, beta, zs)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        alpha=st.floats(0.02, 1.99),
+        beta=st.floats(0.1, 6.0),
+        scale=st.lists(st.floats(0.8, 1.25), min_size=1, max_size=12),
+    )
+    def test_elements_straddling_the_crossover_are_one_point_calls(self, alpha, beta, scale):
+        # the predicted term at n = _ML_CROSSOVER crosses the series'
+        # tolerance at |z| = zc
+        n = specfun._ML_CROSSOVER
+        zc = math.exp((math.lgamma(alpha * n + beta) + specfun._ML_LOG_RTOL) / n)
+        zs = -zc * np.array(scale + [1.0])
+        routed = specfun._ml_routes_to_contour(alpha, beta, zs)
+        got = mittag_leffler(alpha, beta, zs)
+        assert got.tolist() == [mittag_leffler(alpha, beta, float(z)) for z in zs]
+        for v, z, on_contour in zip(got, zs, routed):
+            if not on_contour:
+                assert v == specfun._ml_series(alpha, beta, float(z))
+
+    def test_tables_send_no_point_to_the_contour(self, monkeypatch):
+        from fracrelax import tables
+
+        points = []
+
+        def counted(alpha, beta, z):
+            points.append(np.size(z))
+            return contour(alpha, beta, z)
+
+        contour = specfun._ml_contour
+        monkeypatch.setattr(specfun, "_ml_contour", counted)
+        for table_id in tables.TABLE_IDS:
+            tables.check_table(table_id)
+        assert points == []
+
+    def test_positive_z_is_the_series_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        for _ in range(30):
+            alpha, beta = rng.uniform(0.05, 1.99), rng.uniform(0.5, 5.0)
+            zs = 10.0 ** rng.uniform(-3.0, 1.5, 40)
+            try:
+                want = specfun._ml_series(alpha, beta, zs)
+            except ConvergenceError as exc:
+                with pytest.raises(ConvergenceError) as got:
+                    mittag_leffler(alpha, beta, zs)
+                assert str(got.value) == str(exc)
+            else:
+                assert mittag_leffler(alpha, beta, zs).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("k", [8, 12])
+    def test_pole_on_a_node(self, k):
+        # for 1 < alpha < 2 the pole |z|^(1/alpha) e^(i pi/alpha) placed on
+        # node k of the contour, where the integrand is infinite
+        s = specfun._MLC_MU * (1.0 + 1j * k * specfun._MLC_STEP) ** 2
+        alpha = math.pi / np.angle(s)
+        x = abs(s)
+        assert 1.0 < alpha < 2.0
+        for beta in (1.0, 1.0 + 3.0 * alpha):
+            v = specfun._ml_contour(alpha, beta, np.array([-x**alpha]))[0]
+            want = _ml_at_x(alpha, beta, x)
+            assert abs(v - want) <= 1e-13 * max(1.0, abs(want))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("alpha", [0.05, 0.5, 1.0, 1.0 + 1e-9, 1.5, 1.999])
+    def test_huge_negative_z(self, alpha):
+        # E_{alpha,beta}(z) ~ -1/(z Gamma(beta - alpha)) as z -> -inf, and
+        # |E| is below 1e-10 where that term is 0
+        z = -np.array([1e20, 1e150, 1e200, 1.7e308])
+        for beta in (0.5, 1.0, 4.0):
+            got = mittag_leffler(alpha, beta, z)
+            want = -float(mpmath.rgamma(beta - alpha)) / z
+            assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
+
+    def test_chunks_of_a_large_call(self):
+        zs = -np.linspace(0.0, 100.0, 3 * (specfun._MLC_CHUNK // specfun._MLC_NODES)) ** 1.5
+        got = mittag_leffler(1.5, 1.0, zs)
+        for i in (0, 1, 12_000, 12_483, 25_000, len(zs) - 1):
+            assert got[i] == mittag_leffler(1.5, 1.0, float(zs[i]))
+
+    def test_memory_of_a_large_call_stays_bounded(self):
+        # 192,001 points of z = -x^0.45 on [0, 100], almost all on the
+        # contour, in chunks of at most 2^18 (points x nodes) values; the
+        # bound is the series' own (TestMittagLefflerBlocks)
+        z = -np.linspace(0.0, 100.0, 192_001) ** 0.45
+        tracemalloc.start()
+        try:
+            mittag_leffler(0.45, 1.0, z)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
