@@ -29,12 +29,11 @@ from pathlib import Path
 import numpy as np
 
 from .fracint import STARTUP_ZEROS, alpha_in_range
-from .problems import make_exp_problem, make_ml_problem, make_power_problem, residual_check
-from .report import ConvergenceReport
-from .solver import convergence_sweep, solve, tabulate
+from .problems import make_exp_problem, make_ml_problem, make_power_problem
+from .solver import convergence_sweep, fewest_steps, solve, tabulate
 from .tables import TABLE_IDS, check_table
 
-__all__ = ["main", "console_main", "build_parser", "run_sweep", "emit_solution_curve"]
+__all__ = ["main", "console_main", "build_parser", "emit_solution_curve"]
 
 _DEFAULT_H = "0.025,0.0125,0.00625,0.003125"
 # the most steps n = X/h one sweep or curve run may take (the README's largest
@@ -103,7 +102,7 @@ def _check_step(h: float, X: float, schemes: Sequence[str] = (), sweep: bool = F
     if not schemes:
         return
     tag = max(schemes, key=STARTUP_ZEROS.__getitem__)
-    need = STARTUP_ZEROS[tag] + 2  # the fewest steps solver.solve takes
+    need = fewest_steps(STARTUP_ZEROS[tag])
     coarsest = 2.0 * h if sweep else h
     n = round(X / coarsest)
     if n < need:
@@ -111,30 +110,6 @@ def _check_step(h: float, X: float, schemes: Sequence[str] = (), sweep: bool = F
         raise ValueError(f"step {h:g} is too coarse for [0, {X:g}]: {run} {n} "
                          f"step{'' if n == 1 else 's'}, "
                          f"and scheme {tag} needs at least {need}")
-
-
-def run_sweep(problem, scheme: str, hs: list[float]) -> ConvergenceReport:
-    """Convergence report of the scheme on the problem over the steps hs
-    (solver.convergence_sweep).
-
-    The (forcing, exact) pair is rejected when its relative residual
-    (residual_check, scaled by the problem's largest |y| or |F|) exceeds 1e-6
-    at n=1024 and at n=2048 and does not halve between the two.  A valid
-    pair's residual is the check's own quadrature error, which falls by at
-    least 2^(1+nu) per halving of the step (nu > 0 is the exponent of y at 0)
-    but can exceed any absolute bound when y is large or barely smooth at 0,
-    and its rounding error, which grows with the scale and does not fall; a
-    wrong pair leaves a residual that does not fall.
-    """
-    res = residual_check(problem, samples=8, n=1024, relative=True)
-    if res > 1e-6:
-        res2 = residual_check(problem, samples=8, n=2048, relative=True)
-        if res2 > 1e-6 and res2 > res / 2.0:
-            raise ValueError(
-                f"problem failed residual check: relative residual {res2:.3e} "
-                f"at n=2048, {res:.3e} at n=1024"
-            )
-    return convergence_sweep(problem, scheme, hs, label=problem.label, alpha=problem.alpha)
 
 
 def emit_solution_curve(problem, schemes: list[str], h: float) -> str:
@@ -233,7 +208,9 @@ def main(argv: list[str] | None = None) -> int:
         for h in hs:
             _check_step(h, args.X)
         _check_step(hs[0], args.X, [args.scheme], sweep=True)
-        report = run_sweep(_make_problem(args), args.scheme, hs)
+        problem = _make_problem(args)
+        report = convergence_sweep(problem, args.scheme, hs, label=problem.label,
+                                   alpha=problem.alpha)
         _emit(report.render(args.format), out)
         return 0
 
@@ -251,7 +228,7 @@ def console_main(argv: list[str] | None = None) -> int:
     """The ``fracrelax`` command: ``main``, with a ``ValueError`` (a malformed
     preset or h list, an infinite X or p, a step that is not finite and
     positive, takes more than MAX_STEPS steps or too few for the scheme, a
-    rejected problem, a Mittag-Leffler value that cannot be resolved) or an
+    Mittag-Leffler value that cannot be resolved) or an
     ``OSError`` (a preset or --out path that cannot be read or written)
     reported as one line and exit code 2, as for bad arguments, instead of a
     traceback.  ``main`` itself lets them propagate.  The ml problems'

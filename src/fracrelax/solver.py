@@ -35,6 +35,7 @@ __all__ = [
     "StabilityConstants",
     "solve",
     "solve_with_coefficients",
+    "fewest_steps",
     "max_error",
     "tabulate",
     "convergence_sweep",
@@ -57,6 +58,12 @@ class NodeNotTabulatedError(LookupError):
     """A tabulated problem was asked for a point outside its tabulated nodes."""
 
 
+def fewest_steps(startup_zeros: int) -> int:
+    """The fewest steps n a run of a scheme with that many prescribed zero
+    startup values takes."""
+    return startup_zeros + 2
+
+
 def solve_with_coefficients(
     forcing: Callable,
     coeffs: SchemeCoefficients,
@@ -65,7 +72,7 @@ def solve_with_coefficients(
 ) -> UniformGrid:
     """Run the explicit recurrence with an arbitrary coefficient set."""
     startup_zeros = coeffs.startup_zeros
-    if n < startup_zeros + 2:
+    if n < fewest_steps(startup_zeros):
         raise ValueError(f"n={n} too small for startup_zeros={startup_zeros}")
     alpha = coeffs.alpha
     h = X / n

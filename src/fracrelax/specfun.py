@@ -376,7 +376,12 @@ def _ml_block(
     compensation are updated in place."""
     idx, zv, logabsz, zn, total, comp, largest = live
     size = idx.size
-    if alpha * n + beta <= 0.0:
+    arg = alpha * n + beta
+    if arg <= 0.0:
+        if arg == math.floor(arg):
+            # 1/Gamma is 0 at a pole: the term is 0, and it ends no series
+            zn *= zv
+            return n + 1, live
         # a gamma pole may lie ahead, and its term is due only while a point
         # is still live
         rows = 1

@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 
 from fracrelax import cli
-from fracrelax.problems import make_exp_problem, make_ml_problem, make_power_problem
+from fracrelax.problems import make_exp_problem
 from fracrelax.solver import solve
+from test_problems import make_case, residual_converges
 
 
 def run_cli(capsys, *argv):
@@ -103,6 +104,18 @@ class TestSweep:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith("fracrelax: error: ")
+
+    @pytest.mark.parametrize("argv", [
+        # y ~ x^(3 alpha) is barely smooth at 0
+        ("--problem", "ml", "--alpha", "0.1", "--m", "2"),
+        # y ~ x^0.5 on [0, 8]
+        ("--problem", "power", "--p", "0.5", "--alpha", "0.85", "--X", "8"),
+        # y is about e^50
+        ("--problem", "exp", "--m", "0", "--X", "50"),
+    ])
+    def test_barely_smooth_or_large_problem_solves(self, capsys, argv):
+        assert cli.console_main(["sweep", *argv]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_large_p_power_problem(self, capsys):
         # Gamma(p+1) alone overflows past p = 170.6; the problem must still solve.
@@ -298,42 +311,30 @@ class TestRejectedStepsAndSizes:
 
 
 class TestResidualCheck:
-    """run_sweep rejects a (forcing, exact) pair by the decay of its residual
-    between n=1024 and n=2048, not by its size at n=1024, and not below
-    1e-6 of the problem's own scale."""
+    """The (forcing, exact) pairs that a wrong factory formula would give fail
+    residual_converges, the property that checks every factory over the
+    domain `sweep` accepts (test_problems), while the valid pairs pass it."""
 
-    @pytest.mark.parametrize("argv", [
-        # residual 1.6e-6 -> 6.5e-7: y ~ x^(3 alpha) is barely smooth at 0
-        ("--problem", "ml", "--alpha", "0.1", "--m", "2"),
-        # 1.3e-4 -> 4.6e-5
-        ("--problem", "power", "--p", "0.5", "--alpha", "0.85", "--X", "8"),
-        # 1.3e14 -> 6.0e12: y is about e^50
-        ("--problem", "exp", "--m", "0", "--X", "50"),
-    ])
-    def test_valid_problem_with_large_residual_passes(self, capsys, argv):
-        assert cli.console_main(["sweep", *argv]) == 0
-        assert capsys.readouterr().err == ""
-
-    @pytest.mark.parametrize("problem,perturb", [
-        (make_ml_problem(2, 0.1), "scale"),
-        (make_ml_problem(2, 0.1), "shift"),
-        (make_power_problem(0.5, 0.85, X=8.0), "scale"),
-        (make_power_problem(0.5, 0.85, X=8.0), "shift"),
-        (make_exp_problem(0, 0.5, X=50.0), "scale"),
-        (make_exp_problem(2, 0.5), "shift"),
+    @pytest.mark.parametrize("case,perturb", [
+        (("ml", 2, 0.1, 1.0), "scale"),
+        (("ml", 2, 0.1, 1.0), "shift"),
+        (("power", 0.5, 0.85, 8.0), "scale"),
+        (("power", 0.5, 0.85, 8.0), "shift"),
+        (("exp", 0, 0.5, 50.0), "scale"),
+        (("exp", 2, 0.5, 1.0), "shift"),
         # |F| reaches 1.6e10, where the valid pair's rounding error is 6e-4
-        (make_ml_problem(2, 1.94, X=100.0), "scale"),
-    ], ids=lambda v: v if isinstance(v, str) else f"{v.label}-X{v.X:g}")
-    def test_perturbed_pair_is_rejected(self, problem, perturb):
+        (("ml", 2, 1.94, 100.0), "scale"),
+    ], ids=lambda v: v if isinstance(v, str) else f"{make_case(*v)[0].label}-X{v[3]:g}")
+    def test_perturbed_pair_is_rejected(self, case, perturb):
+        problem, nu, cancelled = make_case(*case)
         forcing = problem.forcing
         if perturb == "scale":
             wrong = dataclasses.replace(problem, forcing=lambda x: forcing(x) * (1.0 + 1e-4))
         else:
             wrong = dataclasses.replace(
                 problem, forcing=lambda x: forcing(x) + 1e-5 * np.asarray(x))
-        with pytest.raises(ValueError, match="^problem failed residual check: "):
-            cli.run_sweep(wrong, "A1", [0.1])
-        cli.run_sweep(problem, "A1", [0.1])
+        assert not residual_converges(wrong, nu, cancelled)
+        assert residual_converges(problem, nu, cancelled)
 
 
 class TestTable:

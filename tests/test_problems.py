@@ -1,5 +1,9 @@
 """Benchmark-problem factory tests: closed forms, residual validation and
-input checking."""
+input checking.
+
+The (forcing, exact) formulas of the factories are checked here, over the
+domain `fracrelax sweep` accepts, by the decay of their quadrature residual
+(residual_converges); the sweep itself runs no such check."""
 
 import dataclasses
 import math
@@ -7,8 +11,10 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
 
-from fracrelax.fracint import UniformGrid, corrected_sum_I, scheme_coefficients
+from fracrelax.fracint import UniformGrid, alpha_in_range, corrected_sum_I, scheme_coefficients
 from fracrelax.problems import (
     make_exp_problem,
     make_ml_problem,
@@ -131,16 +137,6 @@ class TestResidualCheck:
         assert residual_check(counted, samples=8, n=1024) == per_point_residual(prob, 8, 1024)
         assert calls == [8]
 
-    def test_relative_residual_of_a_large_problem(self):
-        # on [0, 100] the ml problem's |F| reaches 1.6e10 at alpha = 1.94,
-        # and its residual, 6e-4, sits at the rounding error of that scale
-        prob = make_ml_problem(2, 1.94, X=100.0)
-        x = np.linspace(0.0, 100.0, 1025)[[128 * j for j in range(1, 9)]]
-        scale = max(1.0, np.abs(prob.exact(x)).max(), np.abs(prob.forcing(x)).max())
-        res = residual_check(prob, samples=8, n=1024)
-        assert residual_check(prob, samples=8, n=1024, relative=True) == res / scale
-        assert res / scale <= 1e-12
-
     def test_validation(self):
         with pytest.raises(ValueError):
             residual_check(make_power_problem(4.0, 0.5), samples=1)
@@ -150,7 +146,10 @@ class TestResidualCheck:
         dataclasses.replace(make_power_problem(4.0, 0.5),
                             forcing=lambda x: np.full(np.shape(x), np.nan)),
         make_power_problem(4.0, 0.5, X=1e200),
-    ], ids=["nan-forcing", "power-X1e200"])
+        # y is finite, but its quadrature overflows a double
+        dataclasses.replace(make_power_problem(4.0, 0.5),
+                            exact=lambda x: np.full(np.shape(x), 1e308)),
+    ], ids=["nan-forcing", "power-X1e200", "overflowing-quadrature"])
     def test_non_finite_values_are_refused(self, prob):
         # max(0.0, nan) is 0.0: a nan residual must not read as a pass
         with pytest.raises(ValueError, match="not finite"):
@@ -171,3 +170,86 @@ def per_point_residual(problem, samples, n):
         f = float(np.asarray(problem.forcing(np.array([x[m]])))[0])
         worst = max(worst, abs(y[m] + q - f))
     return worst
+
+
+def make_case(family, k, alpha, X):
+    """The factory's problem for (family, k, alpha, X), with k the power
+    problem's p or the exp and ml problems' m, and two facts of its exact
+    solution y that the residual's decay and its rounding floor depend on:
+    nu, y's exponent at 0, and the largest term that y's formula cancels, as a
+    function of x."""
+    if family == "power":
+        return make_power_problem(k, alpha, X=X), k, np.zeros_like
+    if family == "exp":
+        return make_exp_problem(k, alpha, X=X), k + 1, np.exp
+    g2 = gamma(1.0 + 2.0 * alpha)
+
+    def cancelled(x):
+        # the terms of the fractional Taylor polynomial, those past x^(2 alpha)
+        # times g2 - 1
+        coef = [1.0] * 3 + [abs(g2 - 1.0)] * (k - 2)
+        return np.max([coef[j] * x ** (j * alpha) / gamma(1.0 + j * alpha)
+                       for j in range(k + 1)], axis=0)
+
+    return make_ml_problem(k, alpha, X=X), (k + 1) * alpha, cancelled
+
+
+def residual_converges(problem, nu, cancelled):
+    """Whether the (forcing, exact) pair satisfies y + I^alpha y = F, judged by
+    residual_check at n = 1024, 2048 and 4096 (8 sample points): either each
+    halving of the step cuts the residual by at least 2^q / 2, q =
+    min(1 + nu, 4 + alpha), the rate of the check's own quadrature error on a
+    y ~ x^nu, or the residual at n = 4096 sits below a rounding floor of
+    1e-11 times the scale of the exact solution's rounding error.  That scale
+    is max(1, |y|, |F|, the largest term y's formula cancels) at the sample
+    points, times 1 + X^alpha/Gamma(1 + alpha), the bound on how much the
+    quadrature of I^alpha magnifies an error in y.  A wrong pair leaves a
+    residual that does not fall."""
+    res = [residual_check(problem, samples=8, n=n) for n in (1024, 2048, 4096)]
+    alpha, X = problem.alpha, problem.X
+    x = X * np.arange(1, 9) / 8
+    values = (problem.exact(x), problem.forcing(x), cancelled(x))
+    scale = max(1.0, *(float(np.abs(v).max()) for v in values))
+    floor = 1e-11 * scale * (1.0 + X**alpha / gamma(1.0 + alpha))
+    rate = 0.5 * 2.0 ** min(1.0 + nu, 4.0 + alpha)
+    return res[-1] <= floor or all(a >= rate * b for a, b in zip(res, res[1:]))
+
+
+# alpha over (0,1) and (1,2), with draws within 0.01 of 0, 1 and 2
+ALPHAS = st.one_of(
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.floats(1.0, 2.0, exclude_min=True, exclude_max=True),
+    st.floats(0.0, 0.01, exclude_min=True),
+    st.floats(0.99, 1.01),
+    st.floats(1.99, 2.0, exclude_max=True),
+).filter(alpha_in_range)
+# every (family, k, alpha, X) that `sweep` can build; the factories refuse
+# the rest
+CASES = st.one_of(
+    st.tuples(st.just("power"), st.floats(0.0, 400.0, exclude_min=True), ALPHAS,
+              st.floats(0.0, 1e300, exclude_min=True)),
+    st.tuples(st.just("exp"), st.integers(0, 12), ALPHAS, st.floats(0.0, 708.78, exclude_min=True)),
+    st.tuples(st.just("ml"), st.integers(2, 200), ALPHAS, st.floats(0.0, 300.0, exclude_min=True)),
+)
+
+
+class TestResidualConverges:
+    """Every factory's (forcing, exact) pair satisfies its equation
+    (residual_converges) over the domain `fracrelax sweep` accepts."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(case=CASES)
+    # on [0, 100] the ml problem's |F| reaches 1.6e10 at alpha = 1.94, and
+    # its residual, 6e-4, sits at the rounding error of that scale
+    @example(case=("ml", 2, 1.94, 100.0))
+    # y cancels Taylor terms up to 4.9e3 down to |y| = 0.254: its rounding
+    # error leaves a flat residual
+    @example(case=("ml", 10, 1.986, 7.37))
+    def test_every_factory(self, case):
+        try:
+            problem, nu, cancelled = make_case(*case)
+            ok = residual_converges(problem, nu, cancelled)
+        except ValueError:
+            # sweep exits 2 on the same input
+            reject()
+        assert ok

@@ -1,6 +1,7 @@
 """Scheme recurrence, convergence sweep and stability-bound tests."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -163,13 +164,16 @@ class TestConvergenceSweep:
         want = per_run_sweep(problem, spec.scheme, spec.hs, scheme=spec.scheme, **fields)
         assert rows(got) == rows(want)
 
-    def test_cli_sweep_over_non_nested_steps(self):
+    def test_cli_sweep_over_non_nested_steps(self, capsys):
         # the runs at h = 0.06, 0.03, 0.02 share only some nodes
+        argv = ["sweep", "--problem", "ml", "--m", "2", "--alpha", "0.75",
+                "--h-list", "0.03,0.02", "--format", "json"]
+        assert cli.main(argv) == 0
+        got = json.loads(capsys.readouterr().out)["rows"]
         problem = make_ml_problem(2, 0.75)
-        got = cli.run_sweep(problem, "A1", [0.03, 0.02])
         want = per_run_sweep(problem, "A1", [0.03, 0.02], label=problem.label,
                              scheme="A1", alpha=0.75)
-        assert rows(got) == rows(want)
+        assert [(r["h"], r["max_error"], r["order"]) for r in got] == rows(want)
 
     def test_forcing_and_exact_evaluated_once(self):
         problem = make_ml_problem(2, 0.75)

@@ -668,3 +668,42 @@ class TestMittagLefflerContour:
         finally:
             tracemalloc.stop()
         assert peak <= (26.2 + 8.0) * 2**20
+
+
+def _ml_rgamma(alpha: float, beta: float, z: float) -> float:
+    """E_{alpha,beta}(z) by its power series in mpmath with 1/Gamma from
+    rgamma, which is 0 at a pole, at |z|^(1/alpha)/2.3 + 30 digits."""
+    x = abs(z) ** (1.0 / alpha)
+    with mpmath.workdps(int(x / 2.3) + 30):
+        a, b, w = mpmath.mpf(alpha), mpmath.mpf(beta), mpmath.mpf(z)
+        total, zk, k = mpmath.mpf(0), mpmath.mpf(1), 0
+        while True:
+            term = zk * mpmath.rgamma(a * k + b)
+            total += term
+            if a * k + b > x + 10 and abs(term) <= mpmath.eps * abs(total):
+                return float(total)
+            zk *= w
+            k += 1
+
+
+class TestMittagLefflerAtGammaPoles:
+    """For beta a non-positive integer some of the terms z^n / Gamma(alpha n
+    + beta) sit at a pole of Gamma, where 1/Gamma is 0: those terms are 0, and
+    a zero term does not end the series (at beta = 0 the first term is one)."""
+
+    ZS = (-7.0, -2.5, -0.5, 0.0, 0.5, 2.5, 7.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("beta", [0.0, -1.0, -3.0])
+    @pytest.mark.parametrize("alpha", [0.5, 1.5, 2.5])
+    def test_matches_mpmath(self, alpha, beta):
+        got = mittag_leffler(alpha, beta, np.array(self.ZS))
+        for z, v in zip(self.ZS, got):
+            assert mittag_leffler(alpha, beta, z) == v
+            want = _ml_rgamma(alpha, beta, z)
+            assert abs(v - want) <= 1e-10 * max(1.0, abs(want)), z
+
+    def test_contour_past_the_series(self):
+        for z in (-30.0, -50.0):
+            want = _ml_rgamma(1.5, 0.0, z)
+            assert abs(mittag_leffler(1.5, 0.0, z) - want) <= 1e-13 * max(1.0, abs(want))
