@@ -10,11 +10,17 @@ convergence_sweep runs one scheme over a list of steps h and reports errors
 and empirical orders.  It evaluates the problem's forcing and exact solution
 once, on the union of every run's nodes (tabulate), and each run reads its
 own nodes from those values.
+
+solve and convergence_sweep also take a sequence of problems on the same
+[0, X], such as a table's columns.  Each run then solves all of them in one
+stacked recurrence, and each problem's grid or report equals the one it gets
+on its own, bit for bit.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable
 
@@ -71,43 +77,72 @@ def solve_with_coefficients(
     X: float = 1.0,
 ) -> UniformGrid:
     """Run the explicit recurrence with an arbitrary coefficient set."""
-    startup_zeros = coeffs.startup_zeros
+    return _solve_rows([forcing], [coeffs], n, X, [""])[0]
+
+
+def _solve_rows(forcings, coeffs, n: int, X: float, labels) -> list[UniformGrid]:
+    """One grid per (forcing, coefficients) row, all rows solved by one
+    stacked _kernels.recurrence call.  The rows share n, X and the startup
+    zeros; an error names the label of the row at fault."""
+    startup_zeros = coeffs[0].startup_zeros
     if n < fewest_steps(startup_zeros):
         raise ValueError(f"n={n} too small for startup_zeros={startup_zeros}")
-    alpha = coeffs.alpha
     h = X / n
-    gam = gamma(alpha)
-    try:
-        h_alpha = h**alpha
-    except OverflowError:
-        raise NonFiniteSolutionError(f"h^alpha overflows a double at h={h:g}") from None
-    c0 = coeffs.c[0] if coeffs.c else 0.0
-    if abs(gam + c0 * h_alpha) <= 1e-12:
-        raise DegenerateDenominatorError(
-            f"Gamma(alpha) + c_0 h^alpha degenerate for alpha={alpha}, h={h}"
-        )
-    w = power_weights(alpha, n)
-    corr = np.asarray(coeffs.c, dtype=float)
-    # A forcing value or a sum past the double range is inf or nan; both are refused.
+    x = np.linspace(0.0, X, n + 1)
+    wheres = [f" for {label}" if label else "" for label in labels]
+    R = len(coeffs)
+    F, weights = np.empty((R, n + 1)), np.empty((R, n + 1))
+    gams, h_alphas = np.empty(R), np.empty(R)
+    for i, (c, where) in enumerate(zip(coeffs, wheres)):
+        alpha = c.alpha
+        gam = gamma(alpha)
+        try:
+            h_alpha = h**alpha
+        except OverflowError:
+            raise NonFiniteSolutionError(
+                f"h^alpha overflows a double at h={h:g}{where}") from None
+        c0 = c.c[0] if c.c else 0.0
+        if abs(gam + c0 * h_alpha) <= 1e-12:
+            raise DegenerateDenominatorError(
+                f"Gamma(alpha) + c_0 h^alpha degenerate for alpha={alpha}, h={h}{where}"
+            )
+        gams[i], h_alphas[i] = gam, h_alpha
+        weights[i] = power_weights(alpha, n)
+    corr = np.array([c.c for c in coeffs], dtype=float).reshape(R, -1)
+    # A forcing value or a sum past the double range is inf or nan; a forcing
+    # is refused here, a solution row below.
     with np.errstate(over="ignore", invalid="ignore"):
-        F = np.asarray(forcing(np.linspace(0.0, X, n + 1)), dtype=float)
-        if not np.all(np.isfinite(F)):
-            raise NonFiniteSolutionError(f"forcing is not finite on [0, {X:g}]")
-        u = _kernels.recurrence(F, w, corr, startup_zeros, gam, h_alpha)
-    if not np.all(np.isfinite(u)):
-        raise NonFiniteSolutionError(
-            f"scheme solution overflows a double on [0, {X:g}] at n={n}"
-        )
-    return UniformGrid(X=X, n=n, values=u)
+        for i, (forcing, where) in enumerate(zip(forcings, wheres)):
+            F[i] = forcing(x)
+            if not np.all(np.isfinite(F[i])):
+                raise NonFiniteSolutionError(f"forcing is not finite on [0, {X:g}]{where}")
+        u = _kernels.recurrence(F, weights, corr, startup_zeros, gams, h_alphas)
+    for row, where in zip(u, wheres):
+        if not np.all(np.isfinite(row)):
+            raise NonFiniteSolutionError(
+                f"scheme solution overflows a double on [0, {X:g}] at n={n}{where}"
+            )
+    return [UniformGrid(X=X, n=n, values=row) for row in u]
 
 
-def solve(problem, scheme: str, n: int) -> UniformGrid:
+def solve(problem, scheme: str, n: int) -> UniformGrid | list[UniformGrid]:
     """Numerical solution u_0..u_n of problem.forcing's integral equation on
     [0, problem.X] by the scheme with tag `scheme` (one of fracint.ORDER_TAGS);
     u_0 = 0 and the scheme's startup values are prescribed zero.
+
+    problem may also be a sequence of problems on the same [0, X]: they are
+    solved together, in one stacked recurrence, and the result is a list with
+    one grid per problem, each equal bit for bit to the problem's own solve.
+    An error names the problem at fault.
     """
-    coeffs = scheme_coefficients(problem.alpha, scheme)
-    return solve_with_coefficients(problem.forcing, coeffs, n, X=problem.X)
+    problems = problem if isinstance(problem, Sequence) else [problem]
+    X = problems[0].X
+    if any(p.X != X for p in problems):
+        raise ValueError("problems solved together must share X")
+    coeffs = [scheme_coefficients(p.alpha, scheme) for p in problems]
+    grids = _solve_rows([p.forcing for p in problems], coeffs, n, X,
+                        [p.label for p in problems])
+    return grids if isinstance(problem, Sequence) else grids[0]
 
 
 def max_error(numeric: UniformGrid, exact: Callable, skip: int = 0) -> float:
@@ -150,7 +185,9 @@ def tabulate(problem, grids):
     return dataclasses.replace(problem, forcing=lookup(F), exact=lookup(y))
 
 
-def convergence_sweep(problem, tag: str, hs, **report_fields) -> ConvergenceReport:
+def convergence_sweep(
+    problem, tag: str, hs, **report_fields
+) -> ConvergenceReport | list[ConvergenceReport]:
     """Convergence report of the scheme `tag` on problem over the decreasing
     steps hs, built by report.sweep; the error of a run is max_error with the
     scheme's startup nodes skipped.  report_fields (label, alpha, expected)
@@ -159,15 +196,40 @@ def convergence_sweep(problem, tag: str, hs, **report_fields) -> ConvergenceRepo
     The forcing and exact solution are evaluated once, on the grids of all the
     steps sweep runs (tabulate).  Every value of them is computed point by
     point, so each run sees what an evaluation on its own grid would give.
+
+    problem may also be a sequence of problems on the same [0, X].  Each
+    report field is then a sequence with one entry per problem, each step
+    makes one solve call for all of them, and the result is a list with one
+    report per problem, each equal to the problem's own sweep.
     """
+    single = not isinstance(problem, Sequence)
+    problems = [problem] if single else problem
+    fields = [report_fields] if single else [
+        {k: v[i] for k, v in report_fields.items()} for i in range(len(problems))]
     skip = STARTUP_ZEROS[tag]
+    X = problems[0].X
+    # One report per problem, each through report.sweep; the first sweep
+    # runs every problem at the steps sweep asks for, and the others read
+    # their errors at the same steps.
+    runs = {}
 
-    def errors(steps):
-        ns = [round(problem.X / h) for h in steps]
-        tabled = tabulate(problem, [np.linspace(0.0, problem.X, n + 1) for n in ns])
-        return [max_error(solve(tabled, tag, n), tabled.exact, skip=skip) for n in ns]
+    def errors(i):
+        def of(steps):
+            key = tuple(steps)
+            if key not in runs:
+                ns = [round(X / h) for h in steps]
+                grids = [np.linspace(0.0, X, n + 1) for n in ns]
+                tabled = [tabulate(p, grids) for p in problems]
+                runs[key] = [
+                    [max_error(u, p.exact, skip=skip) for u, p in zip(solve(tabled, tag, n), tabled)]
+                    for n in ns
+                ]
+            return [errs[i] for errs in runs[key]]
 
-    return sweep(errors, hs, scheme=tag, **report_fields)
+        return of
+
+    reports = [sweep(errors(i), hs, scheme=tag, **f) for i, f in enumerate(fields)]
+    return reports[0] if single else reports
 
 
 @dataclass(frozen=True)

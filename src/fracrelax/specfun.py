@@ -142,22 +142,41 @@ _EM_COEF = tuple(
 )
 
 
+# math.gamma(x) is finite up to x = 171.624
+_GAMMA_MAX_ARG = 171.6
+
+
 def zeta(s: float) -> float:
-    """Riemann zeta function on the real line, s != 1."""
+    """Riemann zeta function on the real line, s != 1.
+
+    Raises SpecialFunctionError for s = nan and where |zeta(s)| passes the
+    largest double (s below about -260); zeta(inf) is 1.
+    """
     if s == 1.0:
         raise PoleError("zeta pole at s=1")
+    if math.isnan(s):
+        raise SpecialFunctionError("zeta is undefined at s=nan")
+    if math.isinf(s):
+        if s > 0.0:
+            return 1.0
+        raise SpecialFunctionError("zeta(-inf) overflows a double")
     if s < -0.5:
         # functional equation: zeta(s) = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s) zeta(1-s),
         # with s/2 reduced by its nearest integer q so that sin keeps its
         # relative accuracy next to the trivial zeros s = 2q
         q = round(s / 2.0)
-        return (
-            2.0**s
-            * math.pi ** (s - 1.0)
-            * (-1.0) ** q * math.sin(math.pi * (s / 2.0 - q))
-            * gamma(1.0 - s)
-            * zeta(1.0 - s)
-        )
+        sine = (-1.0) ** q * math.sin(math.pi * (s / 2.0 - q))
+        if 1.0 - s <= _GAMMA_MAX_ARG:
+            return 2.0**s * math.pi ** (s - 1.0) * sine * gamma(1.0 - s) * zeta(1.0 - s)
+        # Gamma(1 - s) alone overflows: the factors are taken in log space
+        if sine == 0.0:
+            return sine
+        try:
+            scale = math.exp(s * math.log(2.0) + (s - 1.0) * math.log(math.pi)
+                             + math.lgamma(1.0 - s) + math.log(abs(sine)))
+        except OverflowError:
+            raise SpecialFunctionError(f"zeta({s}) overflows a double") from None
+        return math.copysign(scale, sine) * zeta(1.0 - s)
     return _zeta_em(s, s - 1.0)
 
 
@@ -258,8 +277,10 @@ def mittag_leffler(alpha: float, beta: float, z: float | np.ndarray) -> float | 
     value overflows (E grows like exp(z^(1/alpha))) and, for alpha >= 2, a
     z < 0 of large modulus.
     """
-    if alpha <= 0.0:
-        raise ValueError("mittag_leffler requires alpha > 0")
+    if not alpha > 0.0:
+        raise ValueError(f"mittag_leffler requires alpha > 0, got alpha={alpha}")
+    if math.isnan(beta):
+        raise ValueError("mittag_leffler requires a number beta, got beta=nan")
     zs = np.asarray(z, dtype=float)
     zv = zs.ravel()
     contour = _ml_routes_to_contour(alpha, beta, zv)

@@ -305,20 +305,17 @@ def _reproduce_table1() -> list[ConvergenceReport]:
 
 
 def _reproduce_solver_table(spec: TableSpec) -> list[ConvergenceReport]:
-    reports = []
-    for col in spec.columns:
-        problem = col.make_problem()
-        reports.append(
-            convergence_sweep(
-                problem,
-                spec.scheme,
-                spec.hs,
-                label=f"Table {spec.table_id}: {problem.label}, alpha={col.alpha:g}",
-                alpha=col.alpha,
-                expected=list(col.expected),
-            )
-        )
-    return reports
+    # The columns share the scheme and the steps, so one sweep runs all three.
+    problems = [col.make_problem() for col in spec.columns]
+    return convergence_sweep(
+        problems,
+        spec.scheme,
+        spec.hs,
+        label=[f"Table {spec.table_id}: {p.label}, alpha={col.alpha:g}"
+               for p, col in zip(problems, spec.columns)],
+        alpha=[col.alpha for col in spec.columns],
+        expected=[list(col.expected) for col in spec.columns],
+    )
 
 
 def reproduce_table(table_id: int) -> list[ConvergenceReport]:

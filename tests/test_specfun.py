@@ -707,3 +707,76 @@ class TestMittagLefflerAtGammaPoles:
         for z in (-30.0, -50.0):
             want = _ml_rgamma(1.5, 0.0, z)
             assert abs(mittag_leffler(1.5, 0.0, z) - want) <= 1e-13 * max(1.0, abs(want))
+
+
+class TestZetaPastGammaOverflow:
+    """Below s = -170.6, Gamma(1 - s) alone overflows a double; the functional
+    equation takes 2^s pi^(s-1) Gamma(1 - s) in log space there, so zeta is
+    finite wherever its value fits a double (its relative error is about
+    1e-16 times log|zeta|, near 1e-13) and refused past that."""
+
+    # The first s, going down from 0, where |zeta(s)| passes the largest
+    # double: bisection on mpmath.zeta at 40 digits.
+    FIRST_OVERFLOW = -260.16975551440367
+
+    @staticmethod
+    def _mp_zeta(s):
+        with mpmath.workdps(40):
+            return mpmath.zeta(mpmath.mpf(s))
+
+    @pytest.mark.parametrize("s", [-170.5, -171.5, -180.25, -199.0, -200.5, -259.0])
+    def test_matches_mpmath(self, s):
+        want = self._mp_zeta(s)
+        assert abs(mpmath.mpf(zeta(s)) - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("s", [-200.0, -172.0, -260.0])
+    def test_trivial_zeros(self, s):
+        assert self._mp_zeta(s) == 0
+        assert zeta(s) == 0.0
+
+    def test_first_overflow(self):
+        largest = mpmath.mpf(np.finfo(float).max)
+        fits, past = self.FIRST_OVERFLOW + 1e-6, self.FIRST_OVERFLOW - 1e-6
+        want = self._mp_zeta(fits)
+        assert abs(want) < largest < abs(self._mp_zeta(past))
+        assert abs(mpmath.mpf(zeta(fits)) - want) <= 1e-12 * abs(want)
+        with pytest.raises(specfun.SpecialFunctionError, match=r"^zeta\(-260\.1697\d*\) overflows a double$"):
+            zeta(past)
+
+    @pytest.mark.parametrize("s", [-261.0, -300.5, -1000.5, -math.inf])
+    def test_past_the_double_range_is_refused(self, s):
+        with pytest.raises(specfun.SpecialFunctionError, match="overflows a double"):
+            zeta(s)
+
+    def test_every_argument_is_finite_or_refused(self):
+        for s in np.linspace(-400.0, -150.0, 2001):
+            try:
+                assert math.isfinite(zeta(float(s)))
+            except specfun.SpecialFunctionError:
+                assert s < self.FIRST_OVERFLOW + 1e-6
+
+    def test_nan_is_refused(self):
+        with pytest.raises(specfun.SpecialFunctionError, match="undefined at s=nan"):
+            zeta(math.nan)
+
+    def test_infinity_is_one(self):
+        assert zeta(math.inf) == 1.0
+
+
+class TestMittagLefflerNanParameters:
+    """A nan alpha or beta is refused before the routing and before any term
+    of the series; it used to sum 10,000 terms and report non-convergence."""
+
+    @pytest.mark.parametrize("z", [0.5, -40.0, np.array([-40.0, -2.0, 0.0, 3.0])])
+    @pytest.mark.parametrize("alpha,beta,name", [(math.nan, 1.0, "alpha"),
+                                                 (0.5, math.nan, "beta"),
+                                                 (math.nan, math.nan, "alpha")])
+    def test_refused_at_once(self, monkeypatch, alpha, beta, name, z):
+        def no_terms(*args, **kwargs):
+            raise AssertionError("a series block ran")
+
+        monkeypatch.setattr(specfun, "_ml_block", no_terms)
+        monkeypatch.setattr(specfun, "_ml_contour", no_terms)
+        with pytest.raises(ValueError, match=rf"^mittag_leffler requires .*, got {name}=nan$") as exc:
+            mittag_leffler(alpha, beta, z)
+        assert "\n" not in str(exc.value)
