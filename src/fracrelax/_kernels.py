@@ -12,7 +12,10 @@ Step plan.  The steps are planned top-down from the number N of unknowns:
 the last step ends at N, and a step that ends at t starts at ceil(t/2), down
 to 1 (step_ends).  A step from k to t extends v and the inverse from k to t
 terms, so no step computes a term past N.  For N a power of two the plan is
-the plain doubling.
+the plain doubling.  The first unknowns, up to the largest step end b at or
+below BASE_MAX, come from the plain recurrence in Python floats, where a
+numpy call costs more than the whole block's arithmetic, and the doubling
+starts at b.
 
 Products.  A step forms a times (v, inverse), which gives the residuals
 (r, e), and the inverse times (r, e), which gives the new terms.  While
@@ -27,10 +30,11 @@ array, and so are r and e, so an FFT step makes five transform calls: a,
 the inverse.  The last step needs no e.
 
 Stacked rows.  recurrence takes one row or a stack of R rows that share n
-and the startup zeros, such as a table's columns.  The direct steps run row
-by row; each FFT step transforms every row in the same five calls, along
-the last axis.  Each row's arithmetic is that of its one-row call, so each
-row of a stacked solve equals its own solve bit for bit.
+and the startup zeros, such as a table's columns.  The first block and the
+direct steps run row by row; each FFT step transforms every row in the same
+five calls, along the last axis.  Each row's arithmetic is that of its
+one-row call, so each row of a stacked solve equals its own solve bit for
+bit.
 """
 
 from __future__ import annotations
@@ -39,6 +43,9 @@ import numpy as np
 
 # Largest step end t whose products are formed by np.convolve rather than by FFT.
 DIRECT_PRODUCT_MAX = 256
+# The doubling starts at the largest step end at or below this; the unknowns
+# before it come from the plain recurrence in Python floats.
+BASE_MAX = 10
 
 
 def active_backend() -> str:
@@ -115,18 +122,32 @@ def recurrence(
     # residuals of a step are g and 0 plus the products of a with w.
     F = F[:, first:]
     w = np.zeros((R, 2, N))
-    w[:, 0, 0] = ninv0[:, 0] * (gam[:, 0] * F[:, 0])
     ends = step_ends(N)
-    steps = list(zip(ends, ends[1:]))
+    # The first b unknowns come from the plain recurrence, and the doubling
+    # starts at b.
+    b = max(t for t in ends if t <= BASE_MAX)
+    steps = [(k, t) for k, t in zip(ends, ends[1:]) if k >= b]
     direct = [st for st in steps if st[1] <= DIRECT_PRODUCT_MAX]
-    # v and the inverse are exact mod z^k.  A step to t forms the residuals
-    # r = (g - a v)[k:t] and e = (a inv + inv_0 a)[k:t] and sets
-    # v[k:t] = inv_0 r + (inv r) mod z^m and inv[k:t] = -(inv_0 e + (inv e)
-    # mod z^m), m = t - k <= k.  The last step needs no e.
-    # g and -inv_0 a on the terms the direct steps read
-    span = direct[-1][1] if direct else 0
+    # g and -inv_0 a on the terms that the rows' own loop reads
+    span = direct[-1][1] if direct else b
     g, ca = gam * F[:, :span], ninv0 * a[:, :span]
     for ar, gr, car, vr, ir, c in zip(a, g, ca, w[:, 0], w[:, 1], ninv0[:, 0]):
+        # v_j and inv_j for 0 < j < b from sum_{i<=j} a_i v_{j-i} = g_j and
+        # sum_{i<=j} a_i inv_{j-i} = 0, with the true a_0 = -1/c, in Python
+        # floats
+        al, gl = ar[:b].tolist(), gr[:b].tolist()
+        nv, iv = [c * gl[0]] + [0.0] * (b - 1), [0.0] * b
+        for j in range(1, b):
+            sv, si = gl[j] + al[j] * nv[0], -c * al[j]
+            for i in range(1, j):
+                sv += al[i] * nv[j - i]
+                si += al[i] * iv[j - i]
+            nv[j], iv[j] = c * sv, c * si
+        vr[:b], ir[:b] = nv, iv
+        # v and the inverse are exact mod z^k.  A step to t forms the
+        # residuals r = (g - a v)[k:t] and e = (a inv + inv_0 a)[k:t] and
+        # sets v[k:t] = inv_0 r + (inv r) mod z^m and inv[k:t] = -(inv_0 e +
+        # (inv e) mod z^m), m = t - k <= k.  The last step needs no e.
         for k, t in direct:
             m = t - k
             r = gr[k:t] + np.convolve(ar[:t], vr[:k])[k:t]
@@ -134,6 +155,7 @@ def recurrence(
                 e = np.convolve(ar[:t], ir[:k])[k:t] - car[k:t]
                 ir[k:t] = c * e - np.convolve(ir[:m], e)[:m]
             vr[k:t] = c * r - np.convolve(ir[:m], r)[:m]
+    # The same steps for all rows at once, by FFT.
     for k, t in steps[len(direct):]:
         m = t - k
         ops = 1 if t == N else 2

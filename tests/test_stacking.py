@@ -89,6 +89,22 @@ class TestStackedRecurrence:
             assert float(np.max(np.abs(got[i] - want))) <= 1e-13 * max(1.0, np.max(np.abs(want)))
 
 
+class TestFirstBlock:
+    # N unknowns on either side of BASE_MAX, up to which the plain recurrence
+    # runs, and of the first doubling steps after it
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 9, 10, 11, 19, 20, 21, 40, 41])
+    @pytest.mark.parametrize("tag", ["A", "A1", "A4"])
+    def test_rows_match_the_oracle(self, N, tag):
+        n = N + STARTUP_ZEROS[tag]
+        args = stacked_args([0.2, 0.9, 1.7], tag, n, seed=N)
+        got = _kernels.recurrence(*args)
+        for i in range(3):
+            forcing, weights, corr, s, gam, ha = row_args(args, i)
+            want = oracle_recurrence(forcing, weights, with_c0(corr), s, gam, ha)
+            assert np.array_equal(got[i], _kernels.recurrence(*row_args(args, i)))
+            assert float(np.max(np.abs(got[i] - want))) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+
+
 def five_smooth(limit):
     """Every 2^a 3^b 5^c up to limit, sorted."""
     out = []
