@@ -150,7 +150,8 @@ def zeta(s: float) -> float:
     """Riemann zeta function on the real line, s != 1.
 
     Raises SpecialFunctionError for s = nan and where |zeta(s)| passes the
-    largest double (s below about -260); zeta(inf) is 1.
+    largest double, first at s = -260.17 (the trivial zeros below it stay 0);
+    zeta(inf) is 1.
     """
     if s == 1.0:
         raise PoleError("zeta pole at s=1")
@@ -275,7 +276,8 @@ def mittag_leffler(alpha: float, beta: float, z: float | np.ndarray) -> float | 
     above 1e-10 * max(1, |E|), or a term or the sum overflows a double.  Of
     the points that reach the series, the refused ones are a z > 0 whose
     value overflows (E grows like exp(z^(1/alpha))) and, for alpha >= 2, a
-    z < 0 of large modulus.
+    z < 0 of large modulus.  A nan or non-positive alpha and a nan beta raise
+    ValueError before any term.
     """
     if not alpha > 0.0:
         raise ValueError(f"mittag_leffler requires alpha > 0, got alpha={alpha}")
