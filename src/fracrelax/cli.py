@@ -231,11 +231,11 @@ def console_main(argv: list[str] | None = None) -> int:
     Mittag-Leffler value that cannot be resolved) or an
     ``OSError`` (a preset or --out path that cannot be read or written)
     reported as one line and exit code 2, as for bad arguments, instead of a
-    traceback.  ``main`` itself lets them propagate.  The ml problems'
-    Mittag-Leffler arguments -x^alpha are resolved for every accepted alpha
-    and X (the contour takes those past the series' reach), so only a
-    positive argument whose value overflows, as the exp forcing has past
-    its X limit, is refused there."""
+    traceback.  ``main`` itself lets them propagate.  The Mittag-Leffler
+    arguments of the ml problems (-x^alpha) and of the exp forcing (x) are
+    resolved for every accepted alpha and X (the contour takes those past
+    the series' reach); the exp problem refuses an X whose forcing would
+    overflow before any is computed."""
     try:
         return main(argv)
     except (ValueError, OSError) as exc:

@@ -11,24 +11,28 @@ concurrently.
 ``mittag_leffler`` routes each point of ``z`` on its own, by (alpha, beta,
 z) alone, so each element of an array call equals its one-point call:
 
-* The power series (``_ml_series``) takes every z >= 0, every point when
-  alpha >= 2, and a z < 0 whose series is short.  It is summed over all of
-  its points at once, a block of up to 16 terms at a time: Python loops over
+* The power series (``_ml_series``) takes every point when alpha >= 2, a z
+  whose series is short, and a z > 0 whose pole lies near the contour.  It
+  is summed over all of its points at once, a block of up to 16 terms at a
+  time, with one term formula, z^n / Gamma(alpha n + beta): Python loops over
   the terms of a block with a few whole-row numpy calls each, and tests
   convergence once per block.  A block holds at most 2^18 values per array
   (one term row, if that is more), so a call on many points needs no more
   memory than a term-at-a-time sum.
-* For 0 < alpha < 2, a z < 0 goes to the contour (``_ml_contour``) when its
+* For 0 < alpha < 2, a z goes to the contour (``_ml_contour``) when its
   term |z|^n / Gamma(alpha n + beta) at n = 34 is still above the series'
-  tolerance 1e-16 (its series would take more than 34 terms), or when a
+  tolerance 1e-16 (its series would take more than 34 terms), when a
   Stirling bound on its largest term lets the series lose more than 1e-10 to
-  cancellation, which covers every z < 0 the series would refuse.  Both are
-  predicted from n log|z| - lgamma(alpha n + beta), with no term summed.
-  The crossover was measured: from about 32 terms on, the contour is the
-  more accurate of the two at most points, and for alpha <= 1 it is the
-  faster at every length (21 nodes against at least 16 series terms); the
-  series keeps z = -2 at alpha = 0.75, beta = 1.5 (34 terms), and no point
-  of tables 1-10 reaches the contour.
+  cancellation, which covers every z < 0 the series would refuse, or, for
+  z > 0, when its first term is below the tolerance and that bound is not
+  (the series would stop at its first term).  All are predicted from
+  n log|z| - lgamma(alpha n + beta), with no term summed.  The crossover was
+  measured: from about 32 terms on, the contour is the more accurate of the
+  two at most points, and for alpha <= 1 it is the faster at every length
+  (21 nodes against at least 16 series terms); the series keeps z = -2 at
+  alpha = 0.75, beta = 1.5 (34 terms), and no point of tables 1-10 reaches
+  the contour.  A z > 0 goes there only where its pole is far from the
+  contour, from about z^(1/alpha) = 16 on; nearer, the series is cheaper.
 * The contour is Garrappa's (SIAM J. Numer. Anal. 53(3), 2015) after
   Weideman & Trefethen (Math. Comp. 76, 2007): E_{alpha,beta}(z) is the
   inverse Laplace transform of s^(alpha-beta) / (s^alpha - z) at t = 1, and
@@ -36,25 +40,28 @@ z) alone, so each element of an array call equals its one-point call:
   s(u) = 4.5 (1 + iu)^2, u = 0, h, .., 20h (conjugate symmetry gives u < 0),
   sums it as one (points x nodes) real array, in chunks of at most 2^18
   values.  The parameters were picked on an mpmath grid: the error is
-  e^mu * eps from rounding and below that from the rule.  For
-  1 < alpha < 2 the transform has the poles s = |z|^(1/alpha)
-  e^(+-i pi/alpha), and the residues (1/alpha) s^(1-beta) e^s of those the
-  contour leaves out are added.  A pole near the contour would spoil the
-  rule (errors up to 0.1 at alpha = 1.94), so there its principal parts are
-  subtracted from the integrand and both residues added; a point whose pole
-  lies near a node takes the nodes shifted by half a step.  One contour thus
-  serves every point, and against mpmath the error stays within about
-  4e-13 * max(1, |E|) on z = -x^alpha, x in [0, 100], for beta in [0.5, 5]
-  (1e-11 for beta up to 20).
+  e^mu * eps from rounding and below that from the rule.  The transform
+  has the pole s = z^(1/alpha) for z > 0 and, for 1 < alpha < 2, the poles
+  s = |z|^(1/alpha) e^(+-i pi/alpha) for z < 0; the residues (1/alpha)
+  s^(1-beta) e^s of those the contour leaves out are added.  A pole near the
+  contour would spoil the rule (errors up to 0.1 at alpha = 1.94), so there
+  its principal parts are subtracted from the integrand and its residues
+  added; a point whose pole lies near a node takes the nodes shifted by half
+  a step.  One contour thus serves every point, and against mpmath the
+  error stays within about 4e-13 * max(1, |E|) on z = -x^alpha, x in
+  [0, 100], for beta in [0.5, 5] (1e-11 for beta up to 20), and within
+  3e-13 on z = x^alpha past x = 16 and on E_{1,1+alpha}(x) up to x = 708.
 
-Still refused: a z > 0 whose value overflows a double (E grows like
-exp(z^(1/alpha))), a z < 0 of large modulus when alpha >= 2, and an
-infinite or nan z.
+Still refused: a z whose value overflows a double (for z > 0, E grows like
+exp(z^(1/alpha))); for alpha >= 2, a z whose series cancels or has a term
+past the double range (E_{2,1}(1e4) = cosh(100) is one); and an infinite
+or nan z.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from itertools import chain
 
@@ -254,54 +261,45 @@ def mittag_leffler(alpha: float, beta: float, z: float | np.ndarray) -> float | 
 
     ``z`` is a float or an array: a float (or a 0-d array) gives a float, an
     array gives an array of its shape.  Each point is evaluated on its own,
-    by one of two methods, so each value is the one a single-point call
-    gives:
-
-    * the power series (``_ml_series``): every z >= 0, every point when
-      alpha >= 2, and a z < 0 whose series is short;
-    * the trapezoidal rule on a parabolic contour (``_ml_contour``), for
-      0 < alpha < 2: a z < 0 whose term |z|^n / Gamma(alpha n + beta) at
-      n = 34 is still above 1e-16, so that its series would take more than
-      34 terms, or whose largest term may pass 1e-10 * 2^52, where the
-      series may refuse it.  For 1 < alpha < 2 the residues of the poles
-      s = |z|^(1/alpha) e^(+-i pi/alpha) are added (module docstring).
-
-    The routing sums no term: it reads n log|z| - lgamma(alpha n + beta).
-    Every z < 0 that the series would refuse goes to the contour.
+    by the power series (``_ml_series``) or, for 0 < alpha < 2 and a z past
+    the series' reach, by the trapezoidal rule on a parabolic contour
+    (``_ml_contour``), so each value is the one a single-point call gives.
+    ``_ml_routes_to_contour`` chooses, with no term summed (module
+    docstring); every z < 0 that the series would refuse goes to the contour.
 
     Raises ConvergenceError, naming the lowest-index refused z, for an
     infinite or nan z (before any term is summed) and for a point that the
     series refuses: its term-magnitude guard is not met within 10,000 terms,
     cancellation between its largest term and its sum could leave an error
-    above 1e-10 * max(1, |E|), or a term or the sum overflows a double.  Of
-    the points that reach the series, the refused ones are a z > 0 whose
-    value overflows (E grows like exp(z^(1/alpha))) and, for alpha >= 2, a
-    z < 0 of large modulus.  A nan or non-positive alpha and a nan beta raise
-    ValueError before any term.
+    above 1e-10 * max(1, |E|), or a term or the sum overflows a double.  A z
+    whose contour value overflows goes to the series, which refuses it.  The
+    refused points are thus a z > 0 whose value overflows and, for
+    alpha >= 2, a large z.  A non-positive, infinite or nan alpha and an
+    infinite or nan beta raise ValueError before any term.
     """
-    if not alpha > 0.0:
-        raise ValueError(f"mittag_leffler requires alpha > 0, got alpha={alpha}")
-    if math.isnan(beta):
-        raise ValueError("mittag_leffler requires a number beta, got beta=nan")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"mittag_leffler requires 0 < alpha < inf, got alpha={alpha}")
+    if not math.isfinite(beta):
+        raise ValueError(f"mittag_leffler requires a finite beta, got beta={beta}")
     zs = np.asarray(z, dtype=float)
     zv = zs.ravel()
-    contour = _ml_routes_to_contour(alpha, beta, zv)
-    # the series also refuses an infinite or nan z, before any term
-    if not (contour.any() and np.isfinite(zv).all()):
-        return _ml_series(alpha, beta, z)
-    out = np.empty(zs.size)
-    series = ~contour
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the series alone refuses an infinite or nan z, before any term
+        contour = _ml_routes_to_contour(alpha, beta, zv) & np.isfinite(zv).all()
+        if not contour.any():
+            return _ml_series(alpha, beta, z)
+        out = np.empty(zs.size)
+        out[contour] = _ml_contour(alpha, beta, zv[contour])
+    # and a contour value past the double range, which it refuses
+    series = ~(contour & np.isfinite(out))
     if series.any():
         out[series] = _ml_series(alpha, beta, zv[series])
-    out[contour] = _ml_contour(alpha, beta, zv[contour])
-    if zs.ndim == 0:
-        return float(out[0])
-    return out.reshape(zs.shape)
+    return float(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
 
 
 def _ml_routes_to_contour(alpha: float, beta: float, zv: np.ndarray) -> np.ndarray:
-    """Where a finite z < 0 goes to the contour (0 < alpha < 2), by the
-    magnitudes n log|z| - lgamma(alpha n + beta) of its series' terms:
+    """Where a z goes to the contour (0 < alpha < 2), by the magnitudes
+    n log|z| - lgamma(alpha n + beta) of its series' terms:
 
     * the term at n = _ML_CROSSOVER is still above the series' tolerance
       1e-16, so the series would run past that many terms; or
@@ -311,21 +309,60 @@ def _ml_routes_to_contour(alpha: float, beta: float, zv: np.ndarray) -> np.ndarr
       Stirling's lower bound on lgamma(x) bounds by a concave function of x
       whose maximum, near x = r, is below r + (1/2 - beta) log r
       - log(2 pi)/2 + 1/(8r).  Where r < max(beta, 1) that maximum lies
-      before the first term, whose x is beta, and no term exceeds about 1.
+      before the first term, whose x is beta, and no term exceeds about 1;
+    * for z > 0, the first term 1/Gamma(beta) is below the tolerance, which
+      ends the series there, and that bound is not: the terms rise from it.
+
+    A z > 0 is routed only where its pole is far from the contour
+    (``_ml_pole``); near it, subtracting the pole costs more than the series.
     """
     n = _ML_CROSSOVER
     if not 0.0 < alpha < 2.0 or alpha * n + beta <= 0.0:
         return np.zeros(zv.size, dtype=bool)
-    logabsz = np.log(-zv, out=np.full(zv.size, -np.inf), where=zv < 0.0)
-    route = n * logabsz - math.lgamma(alpha * n + beta) > _ML_LOG_RTOL
+    logabsz = np.log(np.abs(zv), out=np.full(zv.size, -np.inf), where=zv != 0.0)
+    # lgamma leaves the double range past 2.5e305, where every term is 0
+    route = n * logabsz - math.lgamma(min(alpha * n + beta, 1e305)) > _ML_LOG_RTOL
     logr = logabsz / alpha
     big = np.flatnonzero(logr >= math.log(max(beta, 1.0)))
-    # past log r = 700 the bound is above the limit anyway
-    logr = np.minimum(logr[big], 700.0)
-    r = np.exp(logr)
-    peak = r + (0.5 - beta) * logr - 0.5 * math.log(2.0 * math.pi) + 0.125 / r
+    r = np.exp(logr[big])
+    peak = r + (0.5 - beta) * logr[big] - 0.5 * math.log(2.0 * math.pi) + 0.125 / r
     route[big[peak > _ML_LOG_PEAK]] = True
+    if beta > 0.0 and -math.lgamma(min(beta, 1e305)) < _ML_LOG_RTOL:
+        route[big[(peak > _ML_LOG_RTOL) & (zv[big] > 0.0)]] = True
+    pos = np.flatnonzero(route & (zv > 0.0))
+    if pos.size:
+        route[pos[_ml_pole(alpha, beta, zv[pos])[3]]] = False
     return route
+
+
+def _ml_pole(alpha: float, beta: float, z: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The pole of s^(alpha-beta) / (s^alpha - z) in the upper half plane,
+    for each point of the 1-d array z that has one: s = z^(1/alpha) for
+    z > 0, and s = |z|^(1/alpha) e^(i pi/alpha) for z < 0 when 1 < alpha < 2.
+
+    Returns their indices, log s, and where the pole lies outside the
+    contour (phi > mu with phi = (Re s + |s|) / 2), where it lies near it,
+    and where within a quarter step (in Re u) of a node.  In Im u the nodes
+    lie |1 - sqrt(phi / mu)| from the pole, and the rule's error from it is
+    about |residue| exp(-2 pi (distance) / h); it is near where that may
+    exceed e^-40 = 4e-18, for z > 0 relative to max(1, |residue|), as E is
+    about its residue (1/alpha) s^(1-beta) e^s there.
+    """
+    pos = z > 0.0
+    has = np.flatnonzero(pos | (z < 0.0) if alpha > 1.0 else pos)
+    pos = pos[has]
+    angle = math.pi / alpha
+    logr = np.log(np.abs(z[has])) / alpha
+    r = np.exp(logr)
+    # sqrt(phi / mu), and the pole's u = i (1 - sqrt(s / mu)) in steps
+    root = np.sqrt(r / _MLC_MU)
+    depth = root * np.where(pos, 1.0, math.cos(angle / 2.0))
+    k = np.where(pos, 0.0, root * math.sin(angle / 2.0) / _MLC_STEP)
+    log_res = (1.0 - beta) * logr + r * np.where(pos, 1.0, math.cos(angle)) - math.log(alpha)
+    log_err = np.where(pos, np.minimum(log_res, 0.0), log_res)
+    log_err -= 2.0 * math.pi * np.abs(1.0 - depth) / _MLC_STEP
+    return (has, logr + 1j * np.where(pos, 0.0, angle), depth > 1.0,
+            log_err > _MLC_LOG_POLE, np.abs(k - np.round(k)) < 0.25)
 
 
 def _ml_series(alpha: float, beta: float, z: float | np.ndarray) -> float | np.ndarray:
@@ -334,8 +371,11 @@ def _ml_series(alpha: float, beta: float, z: float | np.ndarray) -> float | np.n
     refusals as in ``mittag_leffler``).  Gamma(alpha n + beta) is computed
     once per term, each point keeps its own z^n, largest term and sum, and
     leaves the sum at the term where its own series has converged, so each
-    value is the one a single-point call gives.  Terms with a gamma argument
-    or a power past the double-precision range are evaluated in log space.
+    value is the one a single-point call gives.  A z^n past the double range
+    makes its term inf, and the point is refused as an overflow.
+    Gamma is taken as the largest double past 171.6, where it leaves the
+    double range: a term that is still not below the tolerance there keeps
+    the point live until z^n overflows, and none ends a series early.
 
     The series is summed a block of terms at a time.  A block's terms fill a
     (terms x live points) array row by row, and its Kahan sums a second one;
@@ -361,43 +401,36 @@ def _ml_series(alpha: float, beta: float, z: float | np.ndarray) -> float | np.n
     if refused.any():
         raise _ml_refusal(alpha, beta, zs, refused)
     out = np.empty(zs.size)
-    logabsz = np.full(zs.size, -np.inf)
-    np.log(np.abs(zv), out=logabsz, where=zv != 0.0)
-    # the points whose series is still being summed: index, z, log|z|, z^n,
-    # sum, Kahan compensation and largest |term| so far
-    live = (np.arange(zs.size), zv, logabsz, np.ones(zs.size), np.zeros(zs.size),
+    # the points whose series is still being summed: index, z, z^n, sum,
+    # Kahan compensation and largest |term| so far
+    live = (np.arange(zs.size), zv, np.ones(zs.size), np.zeros(zs.size),
             np.zeros(zs.size), np.zeros(zs.size))
-    maxlog = float(logabsz.max(initial=-np.inf))
     # the block's terms and Kahan sums; no block is larger than the first
     cap = min(_ML_BLOCK_ROWS * zs.size, max(_ML_BLOCK_SIZE, zs.size))
     bufs = (np.empty(cap), np.empty(cap))
     n = 0
-    # z^(n+1) overflows only where the next term is due in log space, which
-    # never reads it; a term or sum that overflows (and the nan its Kahan
-    # compensation then takes) is refused below; 0 * log|0| at n = 0 is nan,
-    # which compares False
+    # a term or sum that overflows (and the nan its Kahan compensation then
+    # takes) is refused below
     with np.errstate(over="ignore", invalid="ignore"):
         while live[0].size and n < _ML_MAX_TERMS:
-            n, live = _ml_block(alpha, beta, n, maxlog, live, out, refused, bufs)
+            n, live = _ml_block(alpha, beta, n, live, out, refused, bufs)
     refused[live[0]] = 3
     if refused.any():
         raise _ml_refusal(alpha, beta, zs, refused)
-    if zs.ndim == 0:
-        return float(out[0])
-    return out.reshape(zs.shape)
+    return float(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
 
 
 def _ml_block(
-    alpha: float, beta: float, n: int, maxlog: float, live: tuple[np.ndarray, ...],
+    alpha: float, beta: float, n: int, live: tuple[np.ndarray, ...],
     out: np.ndarray, refused: np.ndarray, bufs: tuple[np.ndarray, np.ndarray],
 ) -> tuple[int, tuple[np.ndarray, ...]]:
     """Sum one block of terms, from term n on, for the live points (see
-    _ml_series; maxlog is the largest log|z|), in the leading elements of the
-    two buffers.  A point whose series finishes in the block gets its value
-    in ``out`` and its refusal code, if any, in ``refused``.  Returns the next
-    term's n and the state of the points still live; z^n, the sum and the
-    compensation are updated in place."""
-    idx, zv, logabsz, zn, total, comp, largest = live
+    _ml_series), in the leading elements of the two buffers.  A point whose
+    series finishes in the block gets its value in ``out`` and its refusal
+    code, if any, in ``refused``.  Returns the next term's n and the state of
+    the points still live; z^n, the sum and the compensation are updated in
+    place."""
+    idx, zv, zn, total, comp, largest = live
     size = idx.size
     arg = alpha * n + beta
     if arg <= 0.0:
@@ -410,33 +443,14 @@ def _ml_block(
         rows = 1
     else:
         rows = min(_ML_BLOCK_ROWS, max(1, _ML_BLOCK_SIZE // size), _ML_MAX_TERMS - n)
-    args = [alpha * k + beta for k in range(n, n + rows)]
-    # terms whose gamma argument is at most 170 and whose n log|z| is at most
-    # 690 at every point need no log space
-    fast = 0
-    while fast < rows and not (args[fast] > 170.0 or (n + fast) * maxlog > 690.0):
-        fast += 1
-    rows = fast or rows
+    gammas = [gamma(a) if a <= _GAMMA_MAX_ARG else sys.float_info.max
+              for a in (alpha * k + beta for k in range(n, n + rows))]
+    # z^n .. z^(n+rows-1), each row the one before times z, then z^(n+rows)
     terms = bufs[0][: rows * size].reshape(rows, size)
-    if fast:
-        # z^n .. z^(n+rows-1), each row the one before times z, then z^(n+rows)
-        terms[0] = zn
-        for p0, p1 in zip(terms, chain(terms[1:], (zn,))):
-            np.multiply(p0, zv, out=p1)
-        terms /= np.array([gamma(a) for a in args[:rows]])[:, None]
-    else:
-        for k, (arg, term) in enumerate(zip(args, terms), start=n):
-            # gamma(arg) or z^k would overflow a double; work in log space
-            if arg > 170.0:
-                in_log = np.ones(size, dtype=bool)
-            else:
-                in_log = k * logabsz > 690.0
-                np.divide(zn, gamma(arg), out=term)
-                zn *= zv
-            if in_log.any():
-                log_term = k * logabsz[in_log] - math.lgamma(arg)
-                sign = np.where(zv[in_log] < 0.0, -1.0, 1.0) if k % 2 else 1.0
-                term[in_log] = np.where(log_term < -600.0, 0.0, sign * np.exp(log_term))
+    terms[0] = zn
+    for p0, p1 in zip(terms, chain(terms[1:], (zn,))):
+        np.multiply(p0, zv, out=p1)
+    terms /= np.array(gammas)[:, None]
     # Kahan rows: sums[r] is the sum up to the term of row r
     sums = bufs[1][: rows * size].reshape(rows, size)
     y = np.empty(size)
@@ -459,7 +473,7 @@ def _ml_block(
         finished |= np.isinf(sums)
     hit = finished.any(axis=0)
     cols = np.flatnonzero(hit)
-    live = (idx, zv, logabsz, zn, total, comp, top)
+    live = (idx, zv, zn, total, comp, top)
     if not cols.size:
         return n + rows, live
     first = finished[:, cols].argmax(axis=0)
@@ -491,8 +505,8 @@ def _ml_converged(abs_terms: np.ndarray, sums: np.ndarray) -> np.ndarray:
 
 
 def _ml_contour(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
-    """E_{alpha,beta}(z) for 0 < alpha < 2 and a 1-d array of finite z <= 0,
-    by the trapezoidal rule on a parabolic contour (module docstring).
+    """E_{alpha,beta}(z) for 0 < alpha < 2 and a 1-d array of finite z, by
+    the trapezoidal rule on a parabolic contour (module docstring).
 
     E is the inverse Laplace transform of s^(alpha-beta) / (s^alpha - z) at
     t = 1, (1/2 pi i) * integral of e^s s^(alpha-beta) / (s^alpha - z) ds
@@ -500,17 +514,13 @@ def _ml_contour(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
     negative axis.  z is real, so the nodes u >= 0 give the sum over all
     nodes as Im of their own, and each point sums its nodes alone.
 
-    For 1 < alpha < 2 and z < 0 the transform has the poles
-    s = |z|^(1/alpha) e^(+-i pi/alpha), with residues (1/alpha) s^(1-beta)
-    e^s.  The nodes' distance from the pole, in Im u, is
-    |1 - sqrt(phi / mu)| with phi = (Re s + |s|) / 2: the pole lies outside
-    the contour where phi > mu, and its residues are added there.  Where the
-    trapezoidal rule's error from the pole, about |residue| *
-    exp(-2 pi (distance) / h), may exceed e^-40 = 4e-18, the poles'
-    principal parts are subtracted from the integrand and both residues
-    added, wherever the pole lies, so that the contour passes the pole
-    without loss.  A point whose pole lies within a quarter step (in Re u) of
-    a node uses the nodes shifted by half a step instead.
+    The residues of the poles outside the contour (``_ml_pole``) are added.
+    Where a pole lies near the contour, the principal parts of it and its
+    conjugate are subtracted from the integrand and both residues added,
+    wherever it lies, so that the contour passes it without loss; a real
+    pole (z > 0) counts as half of each.  A point whose pole lies within a
+    quarter step (in Re u) of a node, as a real pole does, uses the nodes
+    shifted by half a step instead.
     """
     z = np.asarray(z, dtype=float)
     out = np.zeros(z.size)
@@ -520,26 +530,16 @@ def _ml_contour(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
     # where the pole is subtracted
     poles = np.zeros(z.size, dtype=complex)
     coef = np.zeros(z.size, dtype=complex)
-    if alpha > 1.0:
-        # at z = 0 the transform is s^-beta, with no pole
-        has_pole = np.flatnonzero(z < 0.0)
-        angle = math.pi / alpha
-        logr = np.log(-z[has_pole]) / alpha
-        r = np.exp(logr)
-        # sqrt(phi / mu), and the pole's u = i (1 - sqrt(s / mu))
-        depth = np.sqrt(r / _MLC_MU) * math.cos(angle / 2.0)
-        k = np.sqrt(r / _MLC_MU) * math.sin(angle / 2.0) / _MLC_STEP
-        shifted[has_pole] = np.abs(k - np.round(k)) < 0.25
-        log_res = (1.0 - beta) * logr + r * math.cos(angle) - math.log(alpha)
-        close = log_res - 2.0 * math.pi * np.abs(1.0 - depth) / _MLC_STEP > _MLC_LOG_POLE
-        near[has_pole] = close
-        # the residues (1/alpha) s^(1-beta) e^s of both poles, in log space
-        add = close | (depth > 1.0)
-        logs = logr[add] + 1j * angle
-        out[has_pole[add]] = 2.0 * (np.exp((1.0 - beta) * logs + np.exp(logs)) / alpha).real
-        logs = logr[close] + 1j * angle
-        poles[near] = np.exp(logs)
-        coef[near] = np.exp((1.0 - beta) * logs) / alpha
+    has, logs, outside, close, on_node = _ml_pole(alpha, beta, z)
+    shifted[has] = on_node
+    near[has] = close
+    half = np.where(z[has] > 0.0, 0.5, 1.0)
+    # the residues (1/alpha) s^(1-beta) e^s of both poles, in log space
+    add = close | outside
+    res = np.exp((1.0 - beta) * logs[add] + np.exp(logs[add])) / alpha
+    out[has[add]] = 2.0 * half[add] * res.real
+    poles[near] = np.exp(logs[close])
+    coef[near] = np.exp((1.0 - beta) * logs[close]) / alpha * half[close]
     rows = max(1, _MLC_CHUNK // _MLC_NODES)
     for shift in (False, True):
         pts = np.flatnonzero(shifted == shift)
@@ -561,8 +561,7 @@ def _ml_contour(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
         for lo in range(0, pts.size, rows):
             chunk = pts[lo:lo + rows]
             terms = p.real - z[chunk, None]
-            with np.errstate(over="ignore"):
-                den = np.multiply(terms, terms)
+            den = np.multiply(terms, terms)
             den += p_im2
             terms /= den
             terms *= a.imag

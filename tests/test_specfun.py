@@ -3,6 +3,7 @@ identities."""
 
 import math
 import random
+import sys
 import tracemalloc
 
 import mpmath
@@ -199,7 +200,9 @@ class TestMittagLeffler:
             assert mittag_leffler(0.5, 1.0, z) == pytest.approx(expect, rel=1e-11)
 
     def test_large_argument_log_branch(self):
-        # series needs the lgamma branch well before overflow of Gamma
+        # z^(1/alpha) = 181: the series would need terms past Gamma's range,
+        # and the contour takes the point, with the residue of its pole
+        assert specfun._ml_routes_to_contour(0.4, 1.0, np.array([8.0])).all()
         val = mittag_leffler(0.4, 1.0, 8.0)
         assert math.isfinite(val) and val > 0
 
@@ -238,24 +241,22 @@ class TestMittagLefflerArrays:
         return out
 
     def test_equals_scalar_series_bit_for_bit(self):
-        # Off the log-space branch every value is the reference's, bit for
-        # bit.  That branch carries terms that reach the last bit only for
-        # huge values (|E| above about 1e35 at alpha = 2), where np.exp may
-        # differ from math.exp by one ulp.
+        # Every point the router keeps on the series is the reference's, bit
+        # for bit.  The reference's log-space rows are reached only by points
+        # the router sends to the contour.
+        # 60 draws, so that more than 1,000 points stay on the series
         rng = random.Random(7)
         checked = 0
-        for _ in range(40):
+        for _ in range(60):
             alpha, beta = rng.uniform(0.05, 2.0), rng.uniform(0.5, 5.0)
             zs = np.array([rng.uniform(-1.0, 1.0) * 10 ** rng.uniform(-3.0, 2.3)
                            for _ in range(30)])
+            zs = zs[~specfun._ml_routes_to_contour(alpha, beta, zs)]
             ref = self._reference(alpha, beta, zs)
             ok = [i for i, v in enumerate(ref) if v is not None]
-            got = specfun._ml_series(alpha, beta, zs[ok])
+            got = mittag_leffler(alpha, beta, zs[ok])
             for i, v in zip(ok, got):
-                if abs(ref[i]) < 1e30:
-                    assert v == ref[i], (alpha, beta, zs[i])
-                else:
-                    assert v == pytest.approx(ref[i], rel=4.5e-16, abs=0.0)
+                assert v == ref[i], (alpha, beta, zs[i])
             checked += len(ok)
         assert checked > 1000
 
@@ -309,8 +310,9 @@ class TestMittagLefflerArrays:
 class TestMittagLefflerNamedErrors:
     """Arguments past the series' reach raise ConvergenceError, with no
     numpy warning and no bare OverflowError or inf on the way.  Of them,
-    mittag_leffler still refuses a z > 0 and an infinite or nan z; a z < 0
-    goes to the contour."""
+    mittag_leffler still refuses a z > 0 whose value overflows (its contour
+    value goes back to the series), a large z when alpha >= 2, and an
+    infinite or nan z; any other z goes to the contour."""
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
@@ -325,6 +327,15 @@ class TestMittagLefflerNamedErrors:
     def test_positive_overflow_is_refused_by_mittag_leffler(self, alpha, z):
         with pytest.raises(ConvergenceError, match="overflows a double"):
             mittag_leffler(alpha, 1.0, z)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("beta", [1.0, 18.0])
+    def test_terms_past_the_double_range_are_refused(self, beta):
+        # E_{2,1}(1e4) = cosh(100) fits a double, but z^n does not at n = 78;
+        # at beta = 18, Gamma leaves the double range first, and its term,
+        # taken as z^n over the largest double, stays above the tolerance
+        with pytest.raises(ConvergenceError, match="overflows a double"):
+            mittag_leffler(2.0, beta, 1e4)
 
     @pytest.mark.filterwarnings("error")
     def test_overflow_inside_an_array(self):
@@ -346,25 +357,17 @@ class TestMittagLefflerNamedErrors:
 
 
 def _ml_trace(alpha: float, beta: float, z: float) -> tuple[int | None, object]:
-    """The one-point series of scalar_ml_reference, returning the row (term
-    index) at which it stops and its outcome: the value, "cancellation",
-    "overflow", or (None, "no convergence").  A term past the double range
-    is inf here, as in the array evaluation."""
+    """The one-point series of ``_ml_series``, returning the row (term index)
+    at which it stops and its outcome: the value, "cancellation", "overflow",
+    or (None, "no convergence").  As there, a term is z^n / Gamma(alpha n +
+    beta), with Gamma taken as the largest double past 171.6, and a z^n past
+    the double range is inf."""
     total = comp = largest = 0.0
     zn = 1.0
-    logabsz = math.log(abs(z)) if z != 0.0 else -math.inf
     for n in range(10_000):
         arg = alpha * n + beta
-        if arg > 170.0 or n * logabsz > 690.0:
-            sign = -1.0 if (z < 0.0 and n % 2) else 1.0
-            log_term = n * logabsz - math.lgamma(arg)
-            try:
-                term = 0.0 if log_term < -600.0 else sign * math.exp(log_term)
-            except OverflowError:
-                term = sign * math.inf
-        else:
-            term = zn / gamma(arg)
-            zn *= z
+        term = zn / (gamma(arg) if arg <= 171.6 else sys.float_info.max)
+        zn *= z
         y = term - comp
         t = total + y
         comp = (t - total) - y
@@ -377,11 +380,6 @@ def _ml_trace(alpha: float, beta: float, z: float) -> tuple[int | None, object]:
                 return n, "cancellation"
             return n, total
     return None, "no convergence"
-
-
-def _first_log_row(z: float) -> int:
-    """The first row whose term is due in log space because n log|z| > 690."""
-    return math.floor(690.0 / math.log(abs(z))) + 1
 
 
 class TestMittagLefflerBlocks:
@@ -432,10 +430,12 @@ class TestMittagLefflerBlocks:
 
     def test_overflow_mid_block_names_the_lowest_index_point(self):
         # overflows at sixteen successive rows, so that some stop mid-block
-        # whatever the block boundaries past the first log-space row
+        # whatever the block boundaries; mittag_leffler sends each of these
+        # to the contour, whose value overflows, and then to the series
         by_row = {}
         for k in range(800):
-            z = 41.0 + k * 0.01
+            # z^n overflows at n = 710 / log z: rows 168 to 209
+            z = 30.0 + k * 0.05
             row, outcome = _ml_trace(0.5, 1.0, z)
             assert outcome == "overflow"
             by_row.setdefault(row, z)
@@ -450,18 +450,6 @@ class TestMittagLefflerBlocks:
                 mittag_leffler(0.5, 1.0, np.array([0.25, z, -4.5, 1.0]))
             assert str(exc.value) == str(one.value)
             assert "overflows a double" in str(exc.value)
-
-    def test_term_switching_to_log_space_mid_block(self):
-        zs = np.array([800.0, 750.0, 0.5])
-        switch = _first_log_row(800.0)
-        assert switch % self.ROWS != 0
-        # at that row 750 is still summed, without log space
-        assert _first_log_row(750.0) > switch
-        assert _ml_trace(1.5, 1.0, 750.0)[0] > switch
-        got = mittag_leffler(1.5, 1.0, zs)
-        assert got.tolist() == [mittag_leffler(1.5, 1.0, float(z)) for z in zs]
-        for v, z in zip(got, zs):
-            assert v == pytest.approx(scalar_ml_reference(1.5, 1.0, float(z)), rel=4.5e-16, abs=0.0)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -488,7 +476,8 @@ class TestMittagLefflerBlocks:
     def test_memory_of_a_large_call_stays_bounded(self):
         # 192,001 points of the exp problem's forcing at X = 600: the
         # term-at-a-time loop the block sum replaced peaked at 26.2 MB of
-        # traced allocations here; blocks may add at most 8 MB to that
+        # traced allocations here; blocks may add at most 8 MB to that.  The
+        # contour takes the points past x = 16, and the series the rest
         x = np.linspace(0.0, 600.0, 192_001)
         tracemalloc.start()
         try:
@@ -499,12 +488,14 @@ class TestMittagLefflerBlocks:
         assert peak <= (26.2 + 8.0) * 2**20
 
 
-def _ml_at_x(alpha: float, beta: float, x: float) -> float:
-    """E_{alpha,beta}(-x^alpha) by its power series in mpmath, at x/2.3 + 30
-    digits: the largest term is about e^x, and the sum is summed past it."""
-    with mpmath.workdps(int(x / 2.3) + 30):
+def _ml_at_x(alpha: float, beta: float, x: float, sign: float = -1.0) -> float:
+    """E_{alpha,beta}(-x^alpha), or E_{alpha,beta}(x^alpha) for sign = 1, by
+    its power series in mpmath, at x/2.3 + 30 digits (30 for positive terms,
+    which do not cancel): the largest term is about e^x, and the sum is
+    summed past it."""
+    with mpmath.workdps(int(x / 2.3) + 30 if sign < 0.0 else 30):
         a, b = mpmath.mpf(alpha), mpmath.mpf(beta)
-        z = -mpmath.mpf(x) ** a
+        z = sign * mpmath.mpf(x) ** a
         total, zk, k = mpmath.mpf(0), mpmath.mpf(1), 0
         while True:
             term = zk * mpmath.rgamma(a * k + b)
@@ -535,8 +526,9 @@ ORACLE_XS = (0.0, 0.5, 2.0, 7.0, 15.0, 16.0, 30.0, 60.0, 100.0)
 
 
 class TestMittagLefflerContour:
-    """z < 0 past the series' reach goes to the contour integral, point by
-    point; the series keeps every other point, bit for bit."""
+    """A z past the series' reach goes to the contour integral, point by
+    point, a z > 0 only where its pole is far from the contour; the series
+    keeps every other point, bit for bit."""
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("alpha", ORACLE_ALPHAS)
@@ -613,18 +605,22 @@ class TestMittagLefflerContour:
         assert points == []
 
     def test_positive_z_is_the_series_bit_for_bit(self):
+        # every z > 0 the router keeps has its series value, which is the
+        # reference's; cli_scan's exp forcing keeps all of [0, 6.26]
         rng = np.random.default_rng(4)
-        for _ in range(30):
-            alpha, beta = rng.uniform(0.05, 1.99), rng.uniform(0.5, 5.0)
-            zs = 10.0 ** rng.uniform(-3.0, 1.5, 40)
-            try:
-                want = specfun._ml_series(alpha, beta, zs)
-            except ConvergenceError as exc:
-                with pytest.raises(ConvergenceError) as got:
-                    mittag_leffler(alpha, beta, zs)
-                assert str(got.value) == str(exc)
-            else:
-                assert mittag_leffler(alpha, beta, zs).tobytes() == want.tobytes()
+        cases = [(1.0, 1.6, np.linspace(0.0, 6.26, 2001))]
+        cases += [(rng.uniform(0.05, 1.99), rng.uniform(0.5, 5.0), 10.0 ** rng.uniform(-3.0, 1.5, 40))
+                  for _ in range(30)]
+        routed = 0
+        for alpha, beta, zs in cases:
+            to_contour = specfun._ml_routes_to_contour(alpha, beta, zs)
+            routed += to_contour.sum()
+            kept = zs[~to_contour]
+            got = mittag_leffler(alpha, beta, kept)
+            assert got.tobytes() == specfun._ml_series(alpha, beta, kept).tobytes()
+            assert got.tolist() == [scalar_ml_reference(alpha, beta, float(z)) for z in kept]
+        assert not specfun._ml_routes_to_contour(*cases[0]).any()
+        assert routed > 100
 
     @pytest.mark.parametrize("k", [8, 12])
     def test_pole_on_a_node(self, k):
@@ -668,6 +664,60 @@ class TestMittagLefflerContour:
         finally:
             tracemalloc.stop()
         assert peak <= (26.2 + 8.0) * 2**20
+
+
+class TestMittagLefflerPositiveContour:
+    """A z > 0 that the contour takes gets the residue (1/alpha) s^(1-beta)
+    e^s of the pole s = z^(1/alpha) added; it is within 1e-12 * max(1, |E|)
+    of mpmath."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("alpha", [0.01, 0.1, 0.5, 0.75, 0.99, 1.0, 1.5, 1.99])
+    def test_exp_forcing_matches_gammainc(self, alpha):
+        # E_{1,1+alpha}(x) = x^-alpha e^x P(alpha, x), the exp problem's
+        # forcing, up to its X limit
+        xs = np.array([17.0, 20.0, 50.0, 200.0, 400.0, 600.0, 700.0, 708.0])
+        assert specfun._ml_routes_to_contour(1.0, 1.0 + alpha, xs).all()
+        for x, v in zip(xs, mittag_leffler(1.0, 1.0 + alpha, xs)):
+            with mpmath.workdps(40):
+                want = (mpmath.mpf(x) ** -alpha * mpmath.exp(x)
+                        * mpmath.gammainc(alpha, 0, x, regularized=True))
+            assert abs(v - want) <= 1e-12 * max(1.0, abs(want)), x
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("alpha", [0.1, 0.45, 1.0, 1.6, 1.94])
+    def test_matches_mpmath_near_and_past_the_cutoff(self, alpha):
+        # z = x^alpha, whose pole x is far enough from the contour from about
+        # x = 16 on; the router keeps x = 12 on the series
+        xs = np.array([12.0, 15.0, 16.0, 16.5, 18.0, 40.0, 100.0])
+        for beta in (0.5, 1.6, 5.0):
+            routed = specfun._ml_routes_to_contour(alpha, beta, xs**alpha)
+            assert not routed[0] and routed[-2:].all()
+            for x, v in zip(xs, mittag_leffler(alpha, beta, xs**alpha)):
+                want = _ml_at_x(alpha, beta, x, 1.0)
+                assert abs(v - want) <= 1e-12 * max(1.0, abs(want)), (beta, x)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("alpha,beta,z", [
+        (1.0, 120.0, 900.0), (0.5, 40.0, 30.0), (1.0, 22.0, 60.0), (1.9, 20.0, 60.0**1.9),
+    ])
+    def test_first_term_below_the_tolerance(self, alpha, beta, z):
+        # 1/Gamma(beta) < 1e-16 would end the series at its first term,
+        # though its terms peak near alpha n + beta = z^(1/alpha)
+        n = int(2.0 * z ** (1.0 / alpha) / alpha) + 200
+        with mpmath.workdps(50):
+            a, b, w = mpmath.mpf(alpha), mpmath.mpf(beta), mpmath.mpf(z)
+            want = mpmath.fsum(w**k * mpmath.rgamma(a * k + b) for k in range(n))
+        assert abs(mittag_leffler(alpha, beta, z) - want) <= 1e-12 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("x", [1.0, 4.5, 9.0, 16.0])
+    def test_contour_subtracts_a_pole_near_it(self, x):
+        # the router keeps these on the series, but the contour resolves them
+        # too; at x = 4.5 the pole lies on the unshifted node u = 0
+        for alpha, beta in ((0.5, 1.0), (1.5, 1.6)):
+            v = specfun._ml_contour(alpha, beta, np.array([x**alpha]))[0]
+            want = _ml_at_x(alpha, beta, x, 1.0)
+            assert abs(v - want) <= 1e-13 * max(1.0, abs(want))
 
 
 def _ml_rgamma(alpha: float, beta: float, z: float) -> float:
@@ -780,3 +830,28 @@ class TestMittagLefflerNanParameters:
         with pytest.raises(ValueError, match=rf"^mittag_leffler requires .*, got {name}=nan$") as exc:
             mittag_leffler(alpha, beta, z)
         assert "\n" not in str(exc.value)
+
+
+class TestMittagLefflerHugeParameters:
+    """An infinite alpha or beta is refused before any term, as nan is; a
+    huge finite one gives a value."""
+
+    @pytest.mark.parametrize("alpha,beta,name", [(math.inf, 1.0, "alpha"),
+                                                 (0.5, -math.inf, "beta"),
+                                                 (0.5, math.inf, "beta")])
+    def test_infinite_is_refused_at_once(self, monkeypatch, alpha, beta, name):
+        def no_terms(*args, **kwargs):
+            raise AssertionError("a series block ran")
+
+        monkeypatch.setattr(specfun, "_ml_block", no_terms)
+        monkeypatch.setattr(specfun, "_ml_contour", no_terms)
+        with pytest.raises(ValueError, match=rf"^mittag_leffler requires .*, got {name}=-?inf$"):
+            mittag_leffler(alpha, beta, 0.5)
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_is_resolved(self):
+        # every term past the first is 0.5^n over Gamma past the double range
+        assert mittag_leffler(1e308, 1.0, 0.5) == 1.0
+        # 1/Gamma(1e308) and every term are 0 to double precision
+        assert 0.0 <= mittag_leffler(0.5, 1e308, 0.5) < 1e-300
+        assert 0.0 <= mittag_leffler(0.5, 1e308, np.array([-1e308, 1e308])).max() < 1e-300
