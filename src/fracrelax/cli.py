@@ -116,10 +116,10 @@ def emit_solution_curve(problem, schemes: list[str], h: float) -> str:
     """CSV with columns x, exact and one numerical-solution column per scheme."""
     n = round(problem.X / h)
     x = np.linspace(0.0, problem.X, n + 1)
-    problem = tabulate(problem, [x])
-    cols = [problem.exact(x)]
+    tab = tabulate([problem], [n])
+    cols = [tab.exact[0, tab.index[n]]]
     for tag in schemes:
-        cols.append(solve(problem, tag, n).values)
+        cols.append(solve(tab, tag, n)[0].values)
     header = "x,exact," + ",".join(f"u_{tag}" for tag in schemes)
     lines = [header]
     for i in range(n + 1):

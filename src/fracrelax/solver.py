@@ -7,9 +7,13 @@ causal recurrence with its own end-correction weights, a lower-triangular
 Toeplitz system that fracrelax._kernels solves in O(n log n).
 
 convergence_sweep runs one scheme over a list of steps h and reports errors
-and empirical orders.  It evaluates the problem's forcing and exact solution
-once, on the union of every run's nodes (tabulate), and each run reads its
-own nodes from those values.
+and empirical orders.  It builds one Tabulation per sweep (tabulate), which
+holds what the runs share: the forcing and exact solution, evaluated once on
+the sorted union of every run's nodes; each run's node indices; the scheme
+coefficients; and the power weights of the finest run, which every run
+slices.  Each run gathers its forcing from it, and the errors of all the
+problems are reduced at once.  The union is built without np.unique, whose
+first use imports numpy.ma, about 10 ms of every fresh process.
 
 solve and convergence_sweep also take a sequence of problems on the same
 [0, X], such as a table's columns.  Each run then solves all of them in one
@@ -19,7 +23,6 @@ on its own, bit for bit.
 
 from __future__ import annotations
 
-import dataclasses
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable
@@ -43,6 +46,7 @@ __all__ = [
     "solve_with_coefficients",
     "fewest_steps",
     "max_error",
+    "Tabulation",
     "tabulate",
     "convergence_sweep",
     "theorem6_bound",
@@ -61,7 +65,7 @@ class NonFiniteSolutionError(ValueError):
 
 
 class NodeNotTabulatedError(LookupError):
-    """A tabulated problem was asked for a point outside its tabulated nodes."""
+    """A Tabulation was asked for a grid it does not hold."""
 
 
 def fewest_steps(startup_zeros: int) -> int:
@@ -77,13 +81,16 @@ def solve_with_coefficients(
     X: float = 1.0,
 ) -> UniformGrid:
     """Run the explicit recurrence with an arbitrary coefficient set."""
-    return _solve_rows([forcing], [coeffs], n, X, [""])[0]
+    return _solve_rows(lambda x: [forcing(x)], [coeffs], n, X, [""])[0]
 
 
-def _solve_rows(forcings, coeffs, n: int, X: float, labels) -> list[UniformGrid]:
-    """One grid per (forcing, coefficients) row, all rows solved by one
-    stacked _kernels.recurrence call.  The rows share n, X and the startup
-    zeros; an error names the label of the row at fault."""
+def _solve_rows(forcing_rows, coeffs, n: int, X: float, labels,
+                weights=None) -> list[UniformGrid]:
+    """One grid per row of coeffs, all rows solved by one stacked
+    _kernels.recurrence call.  forcing_rows(x) yields the rows' forcing
+    values on the nodes x, one row at a time; weights, when given, holds the
+    rows' power weights w_0..w_m for an m >= n.  The rows share n, X and the
+    startup zeros; an error names the label of the row at fault."""
     startup_zeros = coeffs[0].startup_zeros
     if n < fewest_steps(startup_zeros):
         raise ValueError(f"n={n} too small for startup_zeros={startup_zeros}")
@@ -91,7 +98,7 @@ def _solve_rows(forcings, coeffs, n: int, X: float, labels) -> list[UniformGrid]
     x = np.linspace(0.0, X, n + 1)
     wheres = [f" for {label}" if label else "" for label in labels]
     R = len(coeffs)
-    F, weights = np.empty((R, n + 1)), np.empty((R, n + 1))
+    F = np.empty((R, n + 1))
     gams, h_alphas = np.empty(R), np.empty(R)
     for i, (c, where) in enumerate(zip(coeffs, wheres)):
         alpha = c.alpha
@@ -107,15 +114,19 @@ def _solve_rows(forcings, coeffs, n: int, X: float, labels) -> list[UniformGrid]
                 f"Gamma(alpha) + c_0 h^alpha degenerate for alpha={alpha}, h={h}{where}"
             )
         gams[i], h_alphas[i] = gam, h_alpha
-        weights[i] = power_weights(alpha, n)
+    if weights is None:
+        weights = np.empty((R, n + 1))
+        for row, c in zip(weights, coeffs):
+            row[:] = power_weights(c.alpha, n)
     corr = np.array([c.c for c in coeffs], dtype=float).reshape(R, -1)
     # A forcing value or a sum past the double range is inf or nan; a forcing
     # is refused here, a solution row below.
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, (forcing, where) in enumerate(zip(forcings, wheres)):
-            F[i] = forcing(x)
+        for i, (row, where) in enumerate(zip(forcing_rows(x), wheres)):
+            F[i] = row
             if not np.all(np.isfinite(F[i])):
                 raise NonFiniteSolutionError(f"forcing is not finite on [0, {X:g}]{where}")
+        del row  # freed before the recurrence, whose last step sets peak memory
         u = _kernels.recurrence(F, weights, corr, startup_zeros, gams, h_alphas)
     for row, where in zip(u, wheres):
         if not np.all(np.isfinite(row)):
@@ -134,15 +145,33 @@ def solve(problem, scheme: str, n: int) -> UniformGrid | list[UniformGrid]:
     solved together, in one stacked recurrence, and the result is a list with
     one grid per problem, each equal bit for bit to the problem's own solve.
     An error names the problem at fault.
+
+    problem may also be a Tabulation (tabulate) that holds the grid of n
+    steps: its forcing rows are gathered in one indexing operation, and the
+    result is one grid per problem, equal bit for bit to their own solves.
+    Another grid raises NodeNotTabulatedError.  A plain problem is evaluated
+    on its own grid only: no exact values, no sort and no index search.
     """
+    if isinstance(problem, Tabulation):
+        idx = problem.index.get(n)
+        if idx is None:
+            raise NodeNotTabulatedError(f"the grid of n={n} steps is not tabulated")
+        return _solve_rows(lambda x: problem.forcing[:, idx], problem.coefficients(scheme),
+                           n, problem.X, [p.label for p in problem.problems],
+                           problem.weights[:, : n + 1])
     problems = problem if isinstance(problem, Sequence) else [problem]
+    X = _shared_X(problems)
+    coeffs = [scheme_coefficients(p.alpha, scheme) for p in problems]
+    grids = _solve_rows(lambda x: (p.forcing(x) for p in problems), coeffs, n, X,
+                        [p.label for p in problems])
+    return grids if isinstance(problem, Sequence) else grids[0]
+
+
+def _shared_X(problems) -> float:
     X = problems[0].X
     if any(p.X != X for p in problems):
         raise ValueError("problems solved together must share X")
-    coeffs = [scheme_coefficients(p.alpha, scheme) for p in problems]
-    grids = _solve_rows([p.forcing for p in problems], coeffs, n, X,
-                        [p.label for p in problems])
-    return grids if isinstance(problem, Sequence) else grids[0]
+    return X
 
 
 def max_error(numeric: UniformGrid, exact: Callable, skip: int = 0) -> float:
@@ -156,57 +185,75 @@ def max_error(numeric: UniformGrid, exact: Callable, skip: int = 0) -> float:
     return float(np.max(np.abs(numeric.values[lo:] - np.asarray(exact(x), dtype=float))))
 
 
-def tabulate(problem, grids):
-    """problem with its forcing and exact solution evaluated once, on the
-    sorted union of the node arrays in grids, and replaced by lookups into
-    those values.  A lookup takes only points present in some grid, bit for
-    bit, and raises NodeNotTabulatedError otherwise.  Values past the double
-    range raise NonFiniteSolutionError.
+class Tabulation:
+    """What the runs of one sweep share (tabulate): its problems on one
+    [0, X]; their forcing and exact rows, shape (problems, nodes), on the
+    sorted union x of the grids' nodes; each grid's indices into x, by its
+    number of steps n; each problem's power weights w_0..w_N at the largest
+    such n, which every run slices; and each problem's scheme coefficients,
+    computed for a tag on its first solve.  len() is the number of problems.
+    A plain class: a dataclass compiles its generated methods on every import.
     """
-    x = np.unique(np.concatenate(grids))
 
-    def lookup(values):
-        def at(t):
-            t = np.asarray(t, dtype=float)
-            i = np.minimum(np.searchsorted(x, t), x.size - 1)
-            if not np.array_equal(x[i], t):
-                raise NodeNotTabulatedError("point is not a tabulated node")
-            return values[i]
+    def __init__(self, problems, X, x, forcing, exact, index, weights):
+        self.problems, self.X, self.x, self.index = problems, X, x, index
+        self.forcing, self.exact, self.weights = forcing, exact, weights
+        self._coeffs = {}
 
-        return at
+    def __len__(self) -> int:
+        return len(self.problems)
 
+    def coefficients(self, tag: str) -> list[SchemeCoefficients]:
+        if tag not in self._coeffs:
+            self._coeffs[tag] = [scheme_coefficients(p.alpha, tag) for p in self.problems]
+        return self._coeffs[tag]
+
+
+def tabulate(problems, ns) -> Tabulation:
+    """The Tabulation of problems, a sequence on one [0, X], for the grids of
+    n steps, n in ns.  Forcing and exact solution are computed point by point,
+    so each grid reads what an evaluation on its own nodes would give; values
+    past the double range raise NonFiniteSolutionError.  A neighbour mask
+    drops the sorted union's repeats: np.unique would import numpy.ma."""
+    X = _shared_X(problems)
+    grids = [np.linspace(0.0, X, n + 1) for n in ns]
+    x = np.sort(np.concatenate(grids))
+    x = x[np.concatenate(([True], x[1:] != x[:-1]))]
+    F, y = np.empty((2, len(problems), x.size))
     with np.errstate(over="ignore", invalid="ignore"):
-        F = np.asarray(problem.forcing(x), dtype=float)
-        y = np.asarray(problem.exact(x), dtype=float)
-    if not (np.all(np.isfinite(F)) and np.all(np.isfinite(y))):
-        raise NonFiniteSolutionError(
-            f"forcing or exact solution is not finite on [0, {problem.X:g}]"
-        )
-    return dataclasses.replace(problem, forcing=lookup(F), exact=lookup(y))
+        for i, problem in enumerate(problems):
+            F[i] = problem.forcing(x)
+            y[i] = problem.exact(x)
+            if not (np.all(np.isfinite(F[i])) and np.all(np.isfinite(y[i]))):
+                raise NonFiniteSolutionError(
+                    f"forcing or exact solution is not finite on [0, {X:g}]")
+    weights = np.array([power_weights(p.alpha, max(ns)) for p in problems])
+    index = {n: np.searchsorted(x, grid) for n, grid in zip(ns, grids)}
+    return Tabulation(tuple(problems), X, x, F, y, index, weights)
 
 
 def convergence_sweep(
     problem, tag: str, hs, **report_fields
 ) -> ConvergenceReport | list[ConvergenceReport]:
     """Convergence report of the scheme `tag` on problem over the decreasing
-    steps hs, built by report.sweep; the error of a run is max_error with the
-    scheme's startup nodes skipped.  report_fields (label, alpha, expected)
-    pass to sweep, with scheme=tag.
+    steps hs, built by report.sweep; the error of a run is max_error's, with
+    the scheme's startup nodes skipped.  report_fields (label, alpha,
+    expected) pass to sweep, with scheme=tag.
 
-    The forcing and exact solution are evaluated once, on the grids of all the
-    steps sweep runs (tabulate).  Every value of them is computed point by
-    point, so each run sees what an evaluation on its own grid would give.
+    The sweep builds one Tabulation (tabulate) of the grids of all the steps
+    report.sweep runs.  Each step is one solve call on it, and the errors of
+    all its problems are reduced at once against the tabulated exact rows.
 
     problem may also be a sequence of problems on the same [0, X].  Each
-    report field is then a sequence with one entry per problem, each step
-    makes one solve call for all of them, and the result is a list with one
-    report per problem, each equal to the problem's own sweep.
+    report field is then a sequence with one entry per problem, and the
+    result is a list with one report per problem, each equal to the
+    problem's own sweep.
     """
     single = not isinstance(problem, Sequence)
     problems = [problem] if single else problem
     fields = [report_fields] if single else [
         {k: v[i] for k, v in report_fields.items()} for i in range(len(problems))]
-    skip = STARTUP_ZEROS[tag]
+    lo = 1 + STARTUP_ZEROS[tag]
     X = problems[0].X
     # One report per problem, each through report.sweep; the first sweep
     # runs every problem at the steps sweep asks for, and the others read
@@ -218,12 +265,12 @@ def convergence_sweep(
             key = tuple(steps)
             if key not in runs:
                 ns = [round(X / h) for h in steps]
-                grids = [np.linspace(0.0, X, n + 1) for n in ns]
-                tabled = [tabulate(p, grids) for p in problems]
-                runs[key] = [
-                    [max_error(u, p.exact, skip=skip) for u, p in zip(solve(tabled, tag, n), tabled)]
-                    for n in ns
-                ]
+                tab = tabulate(problems, ns)
+                runs[key] = []
+                for n in ns:
+                    u = np.array([grid.values for grid in solve(tab, tag, n)])
+                    err = np.abs(u[:, lo:] - tab.exact[:, tab.index[n][lo:]])
+                    runs[key].append(np.max(err, axis=1).tolist())
             return [errs[i] for errs in runs[key]]
 
         return of

@@ -375,7 +375,11 @@ def _ml_series(alpha: float, beta: float, z: float | np.ndarray) -> float | np.n
     makes its term inf, and the point is refused as an overflow.
     Gamma is taken as the largest double past 171.6, where it leaves the
     double range: a term that is still not below the tolerance there keeps
-    the point live until z^n overflows, and none ends a series early.
+    the point live until z^n overflows, and none ends a series early.  Nor
+    does a term whose Gamma argument alpha n + beta is below 1: it may be
+    small only for lying next to a pole of Gamma (at beta = 1e-17 the first
+    term is 1e-17), however large the terms after it.  The check costs one
+    comparison per block, and no term of a beta >= 1 is below 1.
 
     The series is summed a block of terms at a time.  A block's terms fill a
     (terms x live points) array row by row, and its Kahan sums a second one;
@@ -410,8 +414,9 @@ def _ml_series(alpha: float, beta: float, z: float | np.ndarray) -> float | np.n
     bufs = (np.empty(cap), np.empty(cap))
     n = 0
     # a term or sum that overflows (and the nan its Kahan compensation then
-    # takes) is refused below
-    with np.errstate(over="ignore", invalid="ignore"):
+    # takes) is refused below, and so is a term divided by a Gamma that
+    # underflowed to 0 (an argument below about -178)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while live[0].size and n < _ML_MAX_TERMS:
             n, live = _ml_block(alpha, beta, n, live, out, refused, bufs)
     refused[live[0]] = 3
@@ -468,6 +473,9 @@ def _ml_block(
     # or whose sum overflows; a sum that overflowed stays inf or nan, so the
     # last row shows whether any did
     finished = _ml_converged(terms, sums)
+    if arg < 1.0:
+        # a term whose Gamma argument is below 1 ends no series (_ml_series)
+        finished[: sum(alpha * k + beta < 1.0 for k in range(n, n + rows))] = False
     overflow = not math.isfinite(total.sum())
     if overflow:
         finished |= np.isinf(sums)

@@ -250,6 +250,24 @@ class TestParser:
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
+    def test_a_run_leaves_numpy_ma_unimported(self, tmp_path):
+        # np.unique imports numpy.ma on first use, about 10 ms of every process
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        probe = "import sys, numpy; print('numpy.ma' in sys.modules)"
+        bare = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                              capture_output=True, text=True)
+        if bare.stdout.strip() == "True":
+            pytest.skip("import numpy alone loads numpy.ma")
+        out = tmp_path / "out.txt"
+        runs = [["table", "4"], ["sweep", "--problem", "ml", "--alpha", "0.7"], ["curve"]]
+        code = ("import sys; from fracrelax import cli\n"
+                f"for argv in {runs!r}:\n"
+                f"    assert cli.main([*argv, '--out', {str(out)!r}]) == 0\n"
+                "print('numpy.ma' in sys.modules)")
+        run = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True)
+        assert run.stdout.strip() == "False"
+
 
 class TestRejectedStepsAndSizes:
     """A step or size the runs cannot use exits 2 with one error line before

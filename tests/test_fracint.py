@@ -69,6 +69,13 @@ class TestPowerWeights:
         b = power_weights(0.321, 100)
         assert np.array_equal(a, b[:11])
 
+    @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.75, 1.25, 1.9])
+    def test_a_prefix_of_longer_weights_is_the_shorter_weights(self, alpha):
+        # a sweep's tabulation slices its runs' weights from those of its finest run
+        longest = power_weights(alpha, 5120)
+        for n in [*range(1, 40), 255, 256, 257, 640, 1023, 2560]:
+            assert np.array_equal(longest[: n + 1], power_weights(alpha, n)), n
+
 
 class TestExactPowerRule:
     def test_closed_form(self):

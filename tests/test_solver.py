@@ -195,15 +195,50 @@ class TestConvergenceSweep:
                           label="ml", alpha=0.75)
         assert sorted(calls) == ["exact", "forcing"]
 
-    def test_lookup_takes_only_tabulated_nodes(self):
+
+class TestTabulation:
+    # nested steps, as a table's sweep takes, and non-nested ones
+    STEPS = [(20, 40, 80), (17, 33, 50)]
+
+    @pytest.mark.parametrize("ns", STEPS)
+    @pytest.mark.parametrize("tag", tuple(STARTUP_ZEROS))
+    def test_solve_equals_the_plain_solve(self, tag, ns):
+        problems = [make_power_problem(4.0, 0.3), make_exp_problem(2, 1.5),
+                    make_ml_problem(2, 0.7)]
+        tab = tabulate(problems, ns)
+        assert len(tab) == 3
+        for n in ns:
+            for got, want in zip(solve(tab, tag, n), solve(problems, tag, n)):
+                assert (got.X, got.n) == (want.X, want.n)
+                assert np.array_equal(got.values, want.values)
+
+    def test_holds_the_sorted_union_of_the_nodes(self):
         problem = make_power_problem(4.0, 0.5)
-        tabled = tabulate(problem, [np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 3)])
-        x = np.array([0.0, 0.25, 1.0])
-        assert np.array_equal(tabled.exact(x), problem.exact(x))
-        assert np.array_equal(tabled.forcing(x), problem.forcing(x))
-        for t in (0.3, 1.5, -0.1):
-            with pytest.raises(NodeNotTabulatedError):
-                tabled.forcing(np.array([t]))
+        tab = tabulate([problem], [4, 2, 3])
+        want = np.unique(np.concatenate([np.linspace(0.0, 1.0, n + 1) for n in (4, 2, 3)]))
+        assert np.array_equal(tab.x, want)
+        for n in (4, 2, 3):
+            x = np.linspace(0.0, 1.0, n + 1)
+            assert np.array_equal(tab.x[tab.index[n]], x)
+            assert np.array_equal(tab.exact[0, tab.index[n]], problem.exact(x))
+            assert np.array_equal(tab.forcing[0, tab.index[n]], problem.forcing(x))
+
+    def test_untabulated_grid_is_refused(self):
+        tab = tabulate([make_power_problem(4.0, 0.5)], [8, 4])
+        for n in (2, 16, 5):
+            with pytest.raises(NodeNotTabulatedError, match=f"n={n} "):
+                solve(tab, "A", n)
+
+    def test_problems_on_different_intervals_are_refused(self):
+        problems = [make_power_problem(4.0, 0.5), make_power_problem(4.0, 0.5, X=2.0)]
+        with pytest.raises(ValueError, match="share X"):
+            tabulate(problems, [20])
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_values_are_refused_without_a_warning(self):
+        # x^400 passes the largest double at x > 5.9
+        with pytest.raises(NonFiniteSolutionError, match="not finite on \\[0, 10\\]"):
+            tabulate([make_power_problem(400, 0.5, X=10)], [20, 40])
 
 
 class TestMaxError:

@@ -58,7 +58,8 @@ def scalar_ml_reference(alpha: float, beta: float, z: float) -> float:
         comp = (t - total) - y
         total = t
         largest = max(largest, abs(term))
-        if abs(term) < 1e-16 * (1.0 + abs(total)):
+        # a term whose Gamma argument is below 1 ends no series
+        if arg >= 1.0 and abs(term) < 1e-16 * (1.0 + abs(total)):
             if largest * 2.0**-52 > 1e-10 * max(1.0, abs(total)):
                 raise ConvergenceError("cancellation")
             return total
@@ -338,6 +339,13 @@ class TestMittagLefflerNamedErrors:
             mittag_leffler(2.0, beta, 1e4)
 
     @pytest.mark.filterwarnings("error")
+    def test_a_gamma_that_underflows_to_zero_is_refused_without_a_warning(self):
+        # Gamma(-200.5) underflows to -0.0, and the first term divides by it
+        with pytest.raises(ConvergenceError, match=r"^mittag_leffler series overflows a double "
+                           r"for alpha=0.5, beta=-200.5, z=0.5; \|z\| is too large$"):
+            mittag_leffler(0.5, -200.5, 0.5)
+
+    @pytest.mark.filterwarnings("error")
     def test_overflow_inside_an_array(self):
         with pytest.raises(ConvergenceError, match="z=40.0;"):
             mittag_leffler(0.5, 1.0, np.array([0.5, 40.0, -1.0]))
@@ -375,7 +383,7 @@ def _ml_trace(alpha: float, beta: float, z: float) -> tuple[int | None, object]:
         largest = max(largest, abs(term))
         if math.isinf(total):
             return n, "overflow"
-        if abs(term) < 1e-16 * (1.0 + abs(total)):
+        if arg >= 1.0 and abs(term) < 1e-16 * (1.0 + abs(total)):
             if largest * 2.0**-52 > 1e-10 * max(1.0, abs(total)):
                 return n, "cancellation"
             return n, total
@@ -752,6 +760,16 @@ class TestMittagLefflerAtGammaPoles:
             assert mittag_leffler(alpha, beta, z) == v
             want = _ml_rgamma(alpha, beta, z)
             assert abs(v - want) <= 1e-10 * max(1.0, abs(want)), z
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("z", [3.0, -0.5])
+    def test_a_small_term_next_to_a_pole_ends_no_series(self, z):
+        # the first term, 1/Gamma(1e-17) = 1e-17, is below the tolerance, and
+        # E_{0.5,1e-17}(3) is about 1.46e5, E_{0.5,1e-17}(-0.5) about -0.128
+        want = _ml_rgamma(0.5, 1e-17, z)
+        got = mittag_leffler(0.5, 1e-17, z)
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+        assert got == scalar_ml_reference(0.5, 1e-17, z)
 
     def test_contour_past_the_series(self):
         for z in (-30.0, -50.0):
