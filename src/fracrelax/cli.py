@@ -5,8 +5,9 @@ Subcommands:
 
 * sweep: run one (problem, scheme, alpha) combination over a list of steps h
   and report errors and empirical orders.
-* table: reproduce a built-in reference table and compare against its stored
-  expected columns; exits nonzero if any tolerance check fails.
+* table: reproduce built-in reference tables (several ids, or all) and
+  compare against their stored expected columns; exits nonzero if any
+  tolerance check fails.
 * curve: emit x, exact solution and per-scheme numerical solution columns as
   CSV, suitable for any plotting tool.
 
@@ -156,8 +157,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--h-list", default=_DEFAULT_H,
                          help="comma-separated decreasing steps")
 
-    p_table = sub.add_parser("table", help="reproduce a built-in reference table")
-    p_table.add_argument("table_id", type=int, choices=TABLE_IDS)
+    p_table = sub.add_parser("table", help="reproduce built-in reference tables")
+    p_table.add_argument("table_ids", nargs="+", metavar="ID",
+                         help="table ids 1..10, run in the order given, or all")
     p_table.add_argument("--format", choices=("csv", "json", "md", "markdown"), default="md")
     p_table.add_argument("--out", help="output path (stdout when omitted)")
 
@@ -166,6 +168,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_curve.add_argument("--h", type=float, default=0.05)
 
     return parser
+
+
+def _table_ids(parser: argparse.ArgumentParser, tokens: list[str]) -> list[int]:
+    """The ids a table run reproduces, in order: "all" stands for 1..10.  An
+    unknown id exits 2 with one line."""
+    ids = []
+    for tok in tokens:
+        if tok == "all":
+            ids += TABLE_IDS
+        elif tok.isdecimal() and int(tok) in TABLE_IDS:
+            ids.append(int(tok))
+        else:
+            parser.exit(2, f"fracrelax table: error: no table {tok!r}; "
+                           f"the ids are 1..{len(TABLE_IDS)} and all\n")
+    return ids
 
 
 @functools.cache
@@ -186,14 +203,16 @@ def main(argv: list[str] | None = None) -> int:
     out = _resolve_out(getattr(args, "out", None))
 
     if args.command == "table":
-        reports, failures = check_table(args.table_id)
-        text = "".join(r.render(args.format) + "\n" for r in reports)
-        _emit(text, out)
-        if failures:
-            for msg in failures:
-                print("TOLERANCE FAILURE:", msg, file=sys.stderr)
-            return 1
-        return 0
+        ids = _table_ids(parser, args.table_ids)
+        chunks, failures = [], []
+        for table_id in ids:
+            reports, failed = check_table(table_id)
+            chunks += [r.render(args.format) + "\n" for r in reports]
+            failures += [f"table {table_id}: TOLERANCE FAILURE: {msg}" for msg in failed]
+        _emit("".join(chunks), out)
+        for line in failures:
+            print(line, file=sys.stderr)
+        return 1 if failures else 0
 
     if not alpha_in_range(args.alpha):
         parser.error(f"--alpha must lie in (0,1) or (1,2), with 1 - alpha != 1, "

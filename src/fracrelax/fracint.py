@@ -15,12 +15,11 @@ backward differences, hD = -log(1 - nabla).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .specfun import _zeta_em, bernoulli_numbers, gamma, gamma_ratio, zeta
+from .specfun import _EM_COEF, _zeta_em, bernoulli_numbers, gamma, gamma_ratio, zeta
 
 __all__ = [
     "UniformGrid",
@@ -44,23 +43,19 @@ STARTUP_ZEROS = {"A": 0, "A1": 0, "A2": 0, "A3": 1, "A4": 2}
 ORDER_TAGS = tuple(STARTUP_ZEROS)
 
 
-@dataclass(frozen=True)
 class UniformGrid:
-    """Samples y_k = y(k h) on [0, X] with h = X/n."""
+    """Samples y_k = y(k h) on [0, X] with h = X/n.  A plain class: a
+    dataclass compiles its generated methods on every import."""
 
-    X: float
-    n: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.X <= 0.0:
+    def __init__(self, X: float, n: int, values: np.ndarray):
+        if X <= 0.0:
             raise ValueError("X must be positive")
-        if self.n < 1:
+        if n < 1:
             raise ValueError("n must be >= 1")
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (self.n + 1,):
-            raise ValueError(f"expected {self.n + 1} samples, got {vals.shape}")
-        object.__setattr__(self, "values", vals)
+        vals = np.asarray(values, dtype=float)
+        if vals.shape != (n + 1,):
+            raise ValueError(f"expected {n + 1} samples, got {vals.shape}")
+        self.X, self.n, self.values = X, n, vals
 
     @property
     def h(self) -> float:
@@ -76,8 +71,7 @@ class UniformGrid:
         return cls(X=X, n=n, values=np.asarray(f(x), dtype=float))
 
 
-@dataclass(frozen=True)
-class EndpointDerivatives:
+class EndpointDerivatives(NamedTuple):
     """Analytic derivative values at the two endpoints.
 
     at_zero holds (y(0), y'(0), y''(0), y'''(0)); at_x holds
@@ -142,13 +136,13 @@ def corrected_trapezoid_K(
     h, x = grid.h, grid.X
     zs = _zeta_coefficients(alpha, order)
     at_x = sum(z * h**j * d for j, (z, d) in enumerate(zip(zs, deriv.at_x)))
-    # g^(r)(0) by Leibniz; d^i/dt^i (x-t)^(alpha-1) = (1-alpha)...(i-alpha) x^(alpha-1-i) at 0
-    bern = bernoulli_numbers(order - 2)
+    # g^(r)(0) by Leibniz; d^i/dt^i (x-t)^(alpha-1) = (1-alpha)...(i-alpha) x^(alpha-1-i) at 0;
+    # B_(r+1)/(r+1)! is zeta's _EM_COEF[r // 2]
     at_zero = 0.0
     for r in range(1, order - 2, 2):
         g_r = sum(math.comb(r, m) * deriv.at_zero[m] * x ** (alpha - 1 - r + m)
                   * math.prod(i - alpha for i in range(1, r - m + 1)) for m in range(r + 1))
-        at_zero += float(bern[r + 1] / math.factorial(r + 1)) * h ** (r + 1) * g_r
+        at_zero += _EM_COEF[r // 2] * h ** (r + 1) * g_r
     return trapezoid_K(grid, alpha) - (h**alpha * at_x - at_zero)
 
 
@@ -164,8 +158,7 @@ def riemann_left_I(grid: UniformGrid, alpha: float) -> float:
     return grid.h**alpha / gamma(alpha) * hist
 
 
-@dataclass(frozen=True)
-class SchemeCoefficients:
+class SchemeCoefficients(NamedTuple):
     """End-correction weights c_0..c_{k-1} for one approximation order.
 
     order_tag A carries no corrections (plain left Riemann history); A1..A4

@@ -58,7 +58,11 @@ def make_power_problem(p: float, alpha: float, X: float = 1.0) -> BenchmarkProbl
     """y = x^p, F = x^p + Gamma(p+1)/Gamma(p+alpha+1) x^(p+alpha)."""
     if p <= 0.0:
         raise ValueError("power problem requires p > 0")
-    coef = gamma_ratio(p + 1.0, p + alpha + 1.0)
+    try:
+        coef = gamma_ratio(p + 1.0, p + alpha + 1.0)
+    except OverflowError:
+        raise ValueError(f"power problem's Gamma(p+1)/Gamma(p+alpha+1) leaves the double "
+                         f"range at p={p:g}") from None
 
     def exact(x):
         x = np.asarray(x, dtype=float)

@@ -8,10 +8,8 @@ Numeric output is deterministic; the timestamp lives in the metadata block
 from __future__ import annotations
 
 import datetime
-import json
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import __version__
 
@@ -23,8 +21,7 @@ def empirical_order(err_coarse: float, err_fine: float) -> float:
     return math.log2(err_coarse / err_fine)
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
+class ConvergenceRow(NamedTuple):
     h: float
     max_error: float
     order: float | None
@@ -32,21 +29,22 @@ class ConvergenceRow:
     expected_order: float | None = None
 
 
-@dataclass
 class ConvergenceReport:
-    label: str
-    scheme: str
-    alpha: float
-    rows: list[ConvergenceRow] = field(default_factory=list)
-    timestamp: str = field(
-        default_factory=lambda: datetime.datetime.now(datetime.timezone.utc).isoformat()
-    )
-    version: str = __version__
+    """Rows ordered by h descending, with the metadata every rendering
+    carries; the timestamp defaults to now (UTC).  A plain class: a
+    dataclass compiles its generated methods on every import."""
 
-    def __post_init__(self):
-        hs = [r.h for r in self.rows]
+    def __init__(self, label: str, scheme: str, alpha: float,
+                 rows: list[ConvergenceRow] | None = None, timestamp: str | None = None,
+                 version: str = __version__):
+        rows = [] if rows is None else rows
+        hs = [r.h for r in rows]
         if hs != sorted(hs, reverse=True):
             raise ValueError("rows must be ordered by h descending")
+        if timestamp is None:
+            timestamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
+        self.label, self.scheme, self.alpha, self.rows = label, scheme, alpha, rows
+        self.timestamp, self.version = timestamp, version
 
     # -- rendering ----------------------------------------------------------
 
@@ -105,6 +103,9 @@ class ConvergenceReport:
         return head + "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
+        # imported here: json costs about 3 ms, and only this output needs it
+        import json
+
         obj = {
             **dict(self._meta_items()),
             "alpha": self.alpha,
@@ -140,10 +141,17 @@ def sweep(errors: Callable[[list[float]], list[float]], hs, label: str, scheme: 
     steps = [2*hs[0]] + hs.  Each row takes its empirical order from the next
     coarser run, so the extra run at 2*hs[0], not itself reported, supplies
     the first row's order.  expected holds one (error, order) reference pair
-    per row.
+    per row.  An error that is 0 or not finite, such as that of a solution
+    that underflows to 0 on every node, gives no order: ValueError names its
+    step.
     """
     hs = list(hs)
-    errs = errors([2.0 * hs[0]] + hs)
+    steps = [2.0 * hs[0]] + hs
+    errs = errors(steps)
+    for h, err in zip(steps, errs):
+        if not 0.0 < err < math.inf:
+            raise ValueError(f"{label}: the error at step {h:g} is {err:g}, "
+                             "which gives no order")
     refs = [(None, None)] * len(hs) if expected is None else expected
     runs = zip(hs, errs[:-1], errs[1:], refs, strict=True)
     rows = [

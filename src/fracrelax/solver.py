@@ -24,7 +24,6 @@ on its own, bit for bit.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -279,21 +278,16 @@ def convergence_sweep(
     return reports[0] if single else reports
 
 
-@dataclass(frozen=True)
 class StabilityConstants:
-    """Error-bound constants for the order-alpha scheme, 0 < alpha < 1."""
+    """Error-bound constants for the order-alpha scheme, 0 < alpha < 1.  A
+    plain class: a dataclass compiles its generated methods on every import."""
 
-    alpha: float
-    A: float
-    C0: float
-    C1: float
-    C2: float
-
-    def __post_init__(self):
-        if not self.C0 > 0.0:
+    def __init__(self, alpha: float, A: float, C0: float, C1: float, C2: float):
+        if not C0 > 0.0:
             raise ValueError("C0 must be positive")
-        if not (self.C2 > self.C0 and self.C2 > self.C1):
+        if not (C2 > C0 and C2 > C1):
             raise ValueError("C2 must exceed max(C0, C1)")
+        self.alpha, self.A, self.C0, self.C1, self.C2 = alpha, A, C0, C1, C2
 
 
 def theorem6_bound(alpha: float, A: float) -> float:

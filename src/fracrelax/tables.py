@@ -17,8 +17,7 @@ floor are not compared.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -90,8 +89,7 @@ def exact_K_log3(alpha: float, x: float) -> float:
     return gamma(alpha) * acc
 
 
-@dataclass(frozen=True)
-class QuadratureCase:
+class QuadratureCase(NamedTuple):
     """One subtable of Table 1: a smooth integrand with analytic derivatives."""
 
     label: str
@@ -151,8 +149,7 @@ _TABLE1_H = (0.025, 0.0125, 0.00625, 0.003125)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TableColumn:
+class TableColumn(NamedTuple):
     """One (problem, alpha) column of a solver table."""
 
     problem_kind: str  # "power", "exp" or "ml"
@@ -174,8 +171,7 @@ class TableColumn:
         raise ValueError(f"unknown problem kind {self.problem_kind!r}")
 
 
-@dataclass(frozen=True)
-class TableSpec:
+class TableSpec(NamedTuple):
     table_id: int
     scheme: str
     hs: tuple[float, ...]

@@ -16,6 +16,7 @@ import pytest
 from fracrelax import cli
 from fracrelax.problems import make_exp_problem
 from fracrelax.solver import solve
+from fracrelax.tables import TABLE_IDS
 from test_problems import make_case, residual_converges
 
 
@@ -98,6 +99,11 @@ class TestSweep:
         ("sweep", "--X", "1e200", "--h-list", "1e195"),
         ("curve", "--p", "400", "--X", "10"),
         ("sweep", "--problem", "ml", "--m", "200", "--alpha", "1.9"),
+        # x^p underflows to 0 on every node, and so does every error
+        ("sweep", "--p", "1e20", "--X", "0.5"),
+        ("sweep", "--problem", "exp", "--m", "12", "--X", "1e-300", "--h-list", "1e-301"),
+        # lgamma(p + 1) overflows
+        ("sweep", "--p", "3e305", "--X", "0.5"),
     ], ids=" ".join)
     def test_problem_past_the_double_range_exits_2(self, capsys, argv):
         assert cli.console_main(list(argv)) == 2
@@ -268,6 +274,23 @@ class TestParser:
                              capture_output=True, text=True)
         assert run.stdout.strip() == "False"
 
+    def test_import_runs_only_the_package(self):
+        # fractions, decimal and json serve only Bernoulli numbers and JSON
+        # output, and a dataclass compiles its methods on every import
+        code = ("import sys, numpy\n"
+                "before = set(sys.modules)\n"
+                "import fracrelax, fracrelax.cli\n"
+                "print(sorted({'fractions', 'decimal', 'json'} & (set(sys.modules) - before)))\n"
+                "import dataclasses\n"
+                "print(sorted(f'{c.__module__}.{c.__name__}'\n"
+                "             for name, mod in sys.modules.items() if name.startswith('fracrelax')\n"
+                "             for c in vars(mod).values() if isinstance(c, type)\n"
+                "             and c.__module__ == name and dataclasses.is_dataclass(c)))")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        run = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True)
+        assert run.stdout.splitlines() == ["[]", "['fracrelax.problems.BenchmarkProblem']"]
+
 
 class TestRejectedStepsAndSizes:
     """A step or size the runs cannot use exits 2 with one error line before
@@ -373,6 +396,46 @@ class TestTable:
     def test_invalid_id_rejected(self, capsys):
         with pytest.raises(SystemExit):
             run_cli(capsys, "table", "11")
+
+    @pytest.mark.parametrize("argv", [("11",), ("0",), ("2", "x"), ("all", "1.0")], ids=" ".join)
+    def test_unknown_id_exits_2_with_one_line(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.console_main(["table", *argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"fracrelax table: error: no table '{argv[-1]}'")
+
+    @pytest.mark.parametrize("fmt", ["csv", "md", "json"])
+    def test_all_is_the_ten_single_runs(self, capsys, fmt):
+        def strip(text):
+            return [l for l in text.splitlines() if "timestamp" not in l]
+
+        singles = []
+        for table_id in TABLE_IDS:
+            code, out, err = run_cli(capsys, "table", str(table_id), "--format", fmt)
+            assert code == 0 and err == ""
+            singles += strip(out)
+        code, out, err = run_cli(capsys, "table", "all", "--format", fmt)
+        assert code == 0 and err == ""
+        assert strip(out) == singles
+
+    def test_ids_run_in_order_into_one_out_file(self, capsys, monkeypatch, tmp_path):
+        calls, check_table = [], cli.check_table
+        monkeypatch.setattr(cli, "check_table", lambda tid: calls.append(tid) or check_table(tid))
+        out = tmp_path / "tables.md"
+        code, stdout, err = run_cli(capsys, "table", "9", "2", "5", "--out", str(out))
+        assert (code, stdout, err) == (0, "", "")
+        assert calls == [9, 2, 5]
+        labels = [l.split(":")[0] for l in out.read_text().splitlines() if l.startswith("**")]
+        assert labels == [f"**Table {t}" for t in (9, 2, 5) for _ in range(3)]
+
+    def test_one_failing_table_fails_the_run(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            cli, "check_table", lambda tid: ([], ["synthetic failure"] if tid == 5 else []))
+        code, _, err = run_cli(capsys, "table", "4", "5", "6")
+        assert code == 1
+        assert err == "table 5: TOLERANCE FAILURE: synthetic failure\n"
 
 
 class TestCurve:

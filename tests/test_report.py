@@ -45,6 +45,15 @@ class TestAssembly:
         assert [r.max_error for r in rep.rows] == [0.1**2, 0.05**2]
         assert [r.order for r in rep.rows] == pytest.approx([2.0, 2.0])
 
+    @pytest.mark.parametrize("bad", [0.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_error_without_an_order_names_its_step(self, bad, at):
+        errs = [4e-2, 1e-2, 2.5e-3]
+        errs[at] = bad
+        step = (0.2, 0.1, 0.05)[at]
+        with pytest.raises(ValueError, match=f"demo: the error at step {step:g} is {bad:g}"):
+            sweep(lambda steps: errs, (0.1, 0.05), label="demo", scheme="A", alpha=0.5)
+
     def test_descending_h_enforced(self):
         rows = [ConvergenceRow(0.05, 1e-3, None), ConvergenceRow(0.1, 1e-2, None)]
         with pytest.raises(ValueError):

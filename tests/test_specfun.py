@@ -169,6 +169,11 @@ class TestBernoulli:
         assert b[10] == Fraction(5, 66)
         assert b[12] == Fraction(-691, 2730)
 
+    def test_em_coefficients_are_the_rounded_quotients(self):
+        b = bernoulli_numbers(2 * len(specfun._EM_COEF))
+        assert specfun._EM_COEF == tuple(
+            float(b[2 * j] / math.factorial(2 * j)) for j in range(1, len(specfun._EM_COEF) + 1))
+
     def test_odd_vanish(self):
         b = bernoulli_numbers(15)
         for n in range(3, 16, 2):

@@ -1,10 +1,15 @@
 """Reference-table harness tests (the full sweep over all tables lives in
 test_acceptance)."""
 
+import math
+
 import pytest
 
+from fracrelax.fracint import UniformGrid, _zeta_coefficients, trapezoid_K
 from fracrelax.report import ConvergenceReport, ConvergenceRow
+from fracrelax.specfun import bernoulli_numbers
 from fracrelax.tables import (
+    _TABLE1_CASES,
     ROUNDOFF_FLOOR,
     TABLE_IDS,
     check_reports,
@@ -111,6 +116,24 @@ class TestReproduce:
         assert len(reports) == 2
         assert failures == []
         assert_printed_digits(1, reports)
+
+    def test_table1_keeps_its_bits(self):
+        # corrected_trapezoid_K reads B_2/2! from specfun's _EM_COEF; every
+        # error equals the one of its former formula, with the float of
+        # bernoulli_numbers' exact quotient
+        coef = float(bernoulli_numbers(2)[2] / math.factorial(2))
+        for case, rep in zip(_TABLE1_CASES, reproduce_table(1), strict=True):
+            alpha, x, d = case.alpha, case.X, case.derivatives(case.X)
+            zs = _zeta_coefficients(alpha, 4)
+            for row in rep.rows:
+                grid = UniformGrid.sample(case.f, x, round(x / row.h))
+                h = grid.h
+                at_x = sum(z * h**j * v for j, (z, v) in enumerate(zip(zs, d.at_x)))
+                g_1 = sum(math.comb(1, m) * d.at_zero[m] * x ** (alpha - 2 + m)
+                          * math.prod(i - alpha for i in range(1, 2 - m)) for m in range(2))
+                at_zero = 0.0 + coef * h**2 * g_1
+                value = trapezoid_K(grid, alpha) - (h**alpha * at_x - at_zero)
+                assert row.max_error == abs(value - case.exact(alpha, x))
 
     def test_table6_passes(self):
         reports, failures = check_table(6)
