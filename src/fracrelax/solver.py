@@ -80,21 +80,29 @@ def solve_with_coefficients(
     X: float = 1.0,
 ) -> UniformGrid:
     """Run the explicit recurrence with an arbitrary coefficient set."""
-    return _solve_rows(lambda x: [forcing(x)], [coeffs], n, X, [""])[0]
+    return _solve_rows(_on_nodes([forcing], n, X), [coeffs], n, X, [""])[0]
+
+
+def _on_nodes(functions, n: int, X: float):
+    """Each function's values on the n+1 nodes of [0, X], one row at a time.
+    The nodes are freed with the last row, before the recurrence runs."""
+    x = np.linspace(0.0, X, n + 1)
+    for f in functions:
+        yield f(x)
 
 
 def _solve_rows(forcing_rows, coeffs, n: int, X: float, labels,
                 weights=None) -> list[UniformGrid]:
     """One grid per row of coeffs, all rows solved by one stacked
-    _kernels.recurrence call.  forcing_rows(x) yields the rows' forcing
-    values on the nodes x, one row at a time; weights, when given, holds the
-    rows' power weights w_0..w_m for an m >= n.  The rows share n, X and the
-    startup zeros; an error names the label of the row at fault."""
+    _kernels.recurrence call.  forcing_rows, an iterator, yields the rows'
+    forcing values on the n+1 nodes of [0, X], one row at a time, and lets
+    them go once exhausted, before the recurrence runs; weights, when given,
+    holds the rows' power weights w_0..w_m for an m >= n.  The rows share n,
+    X and the startup zeros; an error names the label of the row at fault."""
     startup_zeros = coeffs[0].startup_zeros
     if n < fewest_steps(startup_zeros):
         raise ValueError(f"n={n} too small for startup_zeros={startup_zeros}")
     h = X / n
-    x = np.linspace(0.0, X, n + 1)
     wheres = [f" for {label}" if label else "" for label in labels]
     R = len(coeffs)
     F = np.empty((R, n + 1))
@@ -121,7 +129,7 @@ def _solve_rows(forcing_rows, coeffs, n: int, X: float, labels,
     # A forcing value or a sum past the double range is inf or nan; a forcing
     # is refused here, a solution row below.
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, (row, where) in enumerate(zip(forcing_rows(x), wheres)):
+        for i, (row, where) in enumerate(zip(forcing_rows, wheres)):
             F[i] = row
             if not np.all(np.isfinite(F[i])):
                 raise NonFiniteSolutionError(f"forcing is not finite on [0, {X:g}]{where}")
@@ -155,13 +163,13 @@ def solve(problem, scheme: str, n: int) -> UniformGrid | list[UniformGrid]:
         idx = problem.index.get(n)
         if idx is None:
             raise NodeNotTabulatedError(f"the grid of n={n} steps is not tabulated")
-        return _solve_rows(lambda x: problem.forcing[:, idx], problem.coefficients(scheme),
+        return _solve_rows(iter(problem.forcing[:, idx]), problem.coefficients(scheme),
                            n, problem.X, [p.label for p in problem.problems],
                            problem.weights[:, : n + 1])
     problems = problem if isinstance(problem, Sequence) else [problem]
     X = _shared_X(problems)
     coeffs = [scheme_coefficients(p.alpha, scheme) for p in problems]
-    grids = _solve_rows(lambda x: (p.forcing(x) for p in problems), coeffs, n, X,
+    grids = _solve_rows(_on_nodes([p.forcing for p in problems], n, X), coeffs, n, X,
                         [p.label for p in problems])
     return grids if isinstance(problem, Sequence) else grids[0]
 

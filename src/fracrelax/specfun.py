@@ -68,6 +68,7 @@ import numpy as np
 __all__ = [
     "gamma",
     "gamma_ratio",
+    "power_rule_coefficient",
     "zeta",
     "bernoulli_numbers",
     "mittag_leffler",
@@ -97,13 +98,58 @@ def gamma(x: float) -> float:
     return math.gamma(x)
 
 
+# gamma_ratio takes Stirling's series once an argument reaches this; its
+# first omitted term, B_16 / (240 z^15), is below 3e-17 there.
+_STIRLING_MIN = 10.0
+# B_2k / (2k (2k - 1)) for k = 1..7: log Gamma(z) = (z - 1/2) log z - z
+# + log(2 pi) / 2 + sum_k c_k / z^(2k - 1).
+_STIRLING_COEF = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
+
+
 def gamma_ratio(a: float, b: float) -> float:
-    """Gamma(a)/Gamma(b) for a, b > 0, through lgamma: finite wherever the
-    ratio is, also past 171.6, where each gamma alone overflows.  Its relative
-    error grows like 1e-16 * lgamma(max(a, b)), about 1e-13 at a = 200."""
+    """Gamma(a)/Gamma(b) for a, b > 0: finite wherever the ratio is, also
+    past 171.6, where each gamma alone overflows; OverflowError where the
+    ratio does.  Below 10 it is exp(lgamma(a) - lgamma(b)).  From there on
+    it is the difference of the two Stirling series, with log(a/b) taken as
+    log1p((a - b)/b) when a is near b, so lgamma's large values never
+    cancel; an argument below 10 is first raised past it by
+    Gamma(z) = Gamma(z + 1)/z.  Against mpmath, for a and b from 1 to 1e300,
+    the relative error stays below 4e-16 (|log ratio| + 30); an argument
+    z below 1 adds 4e-16 |log z| to the bound.  An infinite argument gives
+    the limit through lgamma: 0.0 for b = inf, inf for a = inf, and nan
+    for both."""
+    return _gamma_ratio(a, b, a - b)
+
+
+def power_rule_coefficient(p: float, alpha: float) -> float:
+    """Gamma(p+1)/Gamma(p+alpha+1), the coefficient c of the power rule
+    I^alpha x^p = c x^(p+alpha), p > -1.  gamma_ratio(p + 1, p + alpha + 1)
+    with the shift alpha taken exactly: where p + 1 and p + alpha + 1 round
+    (p = 1e300 leaves them equal), the ratio is still p^-alpha to rounding."""
+    return _gamma_ratio(p + 1.0, p + alpha + 1.0, -alpha)
+
+
+def _gamma_ratio(a: float, b: float, d: float) -> float:
+    """Gamma(a)/Gamma(b), given d = a - b (exact for the series' log1p)."""
     if a <= 0.0 or b <= 0.0:
         raise ValueError("gamma_ratio requires a > 0 and b > 0")
-    return math.exp(math.lgamma(a) - math.lgamma(b))
+    if max(a, b) < _STIRLING_MIN or max(a, b) == math.inf:
+        return math.exp(math.lgamma(a) - math.lgamma(b))
+    log_ratio = 0.0
+    while a < _STIRLING_MIN:
+        log_ratio -= math.log(a)
+        a, d = a + 1.0, d + 1.0
+    while b < _STIRLING_MIN:
+        log_ratio += math.log(b)
+        b, d = b + 1.0, d - 1.0
+    # (a - 1/2) log a - (b - 1/2) log b - d, with log a = log b + log(a/b)
+    log_ab = math.log1p(d / b) if abs(d) < 0.5 * b else math.log(a / b)
+    log_ratio += d * (math.log(b) - 1.0) + (a - 0.5) * log_ab
+    ra, rb = 1.0 / (a * a), 1.0 / (b * b)
+    ta = tb = 0.0
+    for c in reversed(_STIRLING_COEF):
+        ta, tb = ta * ra + c, tb * rb + c
+    return math.exp(log_ratio + ta / a - tb / b)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from fracrelax import cli
-from fracrelax.problems import make_exp_problem
-from fracrelax.solver import solve
+from fracrelax.problems import make_exp_problem, make_power_problem
+from fracrelax.solver import convergence_sweep, solve
 from fracrelax.tables import TABLE_IDS
 from test_problems import make_case, residual_converges
 
@@ -102,7 +102,7 @@ class TestSweep:
         # x^p underflows to 0 on every node, and so does every error
         ("sweep", "--p", "1e20", "--X", "0.5"),
         ("sweep", "--problem", "exp", "--m", "12", "--X", "1e-300", "--h-list", "1e-301"),
-        # lgamma(p + 1) overflows
+        # as at p = 1e20; lgamma(p + 1) overflowed here before the Stirling form
         ("sweep", "--p", "3e305", "--X", "0.5"),
     ], ids=" ".join)
     def test_problem_past_the_double_range_exits_2(self, capsys, argv):
@@ -122,6 +122,21 @@ class TestSweep:
     def test_barely_smooth_or_large_problem_solves(self, capsys, argv):
         assert cli.console_main(["sweep", *argv]) == 0
         assert capsys.readouterr().err == ""
+
+    def test_huge_p_sweeps_with_a_negligible_coefficient(self, capsys):
+        # p + 1 and p + alpha + 1 round to the same double; the forcing's
+        # coefficient Gamma(p+1)/Gamma(p+alpha+1) is about p^-alpha = 1e-150,
+        # which vanishes next to x^p on every node.  So the errors equal those
+        # of the forcing x^p alone: this separates a negligible coefficient
+        # from the former 1.0, and test_specfun pins its value.
+        p, alpha = 1e300, 0.5
+        code, out, err = run_cli(capsys, "sweep", "--p", "1e300", "--X", "1", "--format", "json")
+        assert (code, err) == (0, "")
+        problem = dataclasses.replace(make_power_problem(p, alpha), forcing=lambda x: x**p)
+        hs = [0.025, 0.0125, 0.00625, 0.003125]
+        want = convergence_sweep(problem, "A1", hs, label=problem.label, alpha=alpha)
+        assert [row["max_error"] for row in json.loads(out)["rows"]] == \
+            [row.max_error for row in want.rows]
 
     def test_large_p_power_problem(self, capsys):
         # Gamma(p+1) alone overflows past p = 170.6; the problem must still solve.
@@ -290,6 +305,21 @@ class TestParser:
         run = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True)
         assert run.stdout.splitlines() == ["[]", "['fracrelax.problems.BenchmarkProblem']"]
+
+    @pytest.mark.parametrize("argv,line", [
+        (("sweep", "--alpha", "3"), "fracrelax sweep: error: --alpha must lie in (0,1) or (1,2)"),
+        (("table",), "fracrelax table: error: the following arguments are required: ID"),
+        (("table", "1", "--format", "xml"),
+         "fracrelax table: error: argument --format: invalid choice: 'xml'"),
+        ((), "fracrelax: error: the following arguments are required: command"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else "")
+    def test_argument_errors_are_one_line(self, capsys, argv, line):
+        with pytest.raises(SystemExit) as exc:
+            cli.console_main(list(argv))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(line)
 
 
 class TestRejectedStepsAndSizes:

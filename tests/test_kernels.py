@@ -1,6 +1,9 @@
 """Recurrence kernel tests: the triangular-Toeplitz solve (direct products in
 short doubling steps, FFTs in long ones) against a plain-Python O(n^2) oracle
-and against the former np.dot loop, the backend stamp, and determinism."""
+and against the former np.dot loop, the backend stamp, determinism, and the
+solve's peak memory."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -164,3 +167,25 @@ class TestDeterminism:
         u1 = solve(prob, "A2", 128).values
         u2 = solve(prob, "A2", 128).values
         assert np.array_equal(u1, u2)
+
+
+class TestPeakMemory:
+    # A row is n + 1 doubles.  The last FFT step holds the forcing, the
+    # weights, a and (v, inverse) (5 rows) and its transforms; the solve
+    # peaked at 13.6 rows when each product took an array of its own and the
+    # nodes and the output were held through the steps.  The bound counts
+    # numpy 2's FFT, which pads a short input inside the transform; numpy 1's
+    # rfft(x, M) first copied x into a zero-padded array of its own, which
+    # the bound does not allow for (the package asks for numpy >= 2).
+    @pytest.mark.parametrize("tag", ["A", "A4"])
+    def test_a_solve_peaks_at_ten_rows(self, tag):
+        n = 2**15
+        prob = make_power_problem(2.5, 0.6)
+        solve(prob, tag, n)  # warm-up: numpy's FFT plans are cached
+        tracemalloc.start()
+        try:
+            solve(prob, tag, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * 8 * (n + 1)

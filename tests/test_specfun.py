@@ -20,6 +20,7 @@ from fracrelax.specfun import (
     gamma,
     gamma_ratio,
     mittag_leffler,
+    power_rule_coefficient,
     zeta,
 )
 
@@ -101,6 +102,67 @@ class TestGammaRatio:
     def test_domain(self, a, b):
         with pytest.raises(ValueError):
             gamma_ratio(a, b)
+
+    # 1 to 1e300 on a log scale, with neighbours closer than lgamma's rounding
+    # at 1e6 and 1e14, the Stirling cutoff 10, and arguments below 1
+    ARGS = (1e-300, 1e-5, 0.3, 1.0, 1.5, 3.7, 9.999, 10.0, 10.5, 37.2, 171.3, 1e3, 1e6 + 1.0,
+            1e6 + 1.5, 2.5e9, 1e14 + 1.0, 1e14 + 1.5, 6e40, 1e100, 3e200, 1e300)
+
+    @staticmethod
+    def _check(got, log_ratio, tol_extra=0.0):
+        """got against exp(log_ratio), an mpmath value: OverflowError past the
+        largest double, at most the smallest normal double below it, and
+        elsewhere a relative error under 4e-16 (|log ratio| + 30 + tol_extra)."""
+        if log_ratio > math.log(sys.float_info.max):
+            assert got is OverflowError
+        elif log_ratio < math.log(sys.float_info.min):
+            assert 0.0 <= got <= sys.float_info.min
+        else:
+            want = mpmath.exp(log_ratio)
+            bound = 4e-16 * (abs(float(log_ratio)) + 30.0 + tol_extra)
+            assert float(abs(got - want) / want) <= bound
+
+    def test_matches_mpmath_from_1e_300_to_1e300(self):
+        # lgamma(1e300) is about 7e302: the difference needs 340 digits
+        with mpmath.workdps(340):
+            lg = {x: mpmath.loggamma(mpmath.mpf(x)) for x in self.ARGS}
+            for a in self.ARGS:
+                for b in self.ARGS:
+                    try:
+                        got = gamma_ratio(a, b)
+                    except OverflowError:
+                        got = OverflowError
+                    self._check(got, lg[a] - lg[b], abs(math.log(min(a, b, 1.0))))
+
+    def test_infinite_arguments_give_the_limit(self):
+        for x in self.ARGS:
+            assert gamma_ratio(x, math.inf) == 0.0
+            assert gamma_ratio(math.inf, x) == math.inf
+        assert math.isnan(gamma_ratio(math.inf, math.inf))
+
+    @pytest.mark.parametrize("p", [1e6, 1e14])
+    def test_neighbours_keep_their_digits(self, p):
+        # exp(lgamma(a) - lgamma(b)) was off by 1.9e-9 at p = 1e6 and 0.39 at 1e14
+        with mpmath.workdps(60):
+            want = mpmath.gamma(mpmath.mpf(p) + 1) / mpmath.gamma(mpmath.mpf(p) + 1.5)
+        assert gamma_ratio(p + 1.0, p + 1.5) == pytest.approx(float(want), rel=1e-14)
+
+    @pytest.mark.parametrize("p", [0.5, 1.05, 4.0, 7.25])
+    @pytest.mark.parametrize("alpha", [0.25, 0.6, 1.5])
+    def test_below_10_it_is_the_lgamma_difference(self, p, alpha):
+        # the tables' power problems keep the bits of their forcing
+        want = math.exp(math.lgamma(p + 1.0) - math.lgamma(p + alpha + 1.0))
+        assert power_rule_coefficient(p, alpha) == want
+        assert gamma_ratio(p + 1.0, p + alpha + 1.0) == want
+
+    @pytest.mark.parametrize("p", [9.5, 200.0, 1e6, 1e14, 1e20, 1e100, 1e300, 1e308])
+    @pytest.mark.parametrize("alpha", [0.01, 0.5, 1.4, 1.99])
+    def test_power_rule_coefficient_takes_the_shift_exactly(self, p, alpha):
+        # past 2^53, p + 1 and p + alpha + 1 round: at p = 1e300 they are equal
+        with mpmath.workdps(340):
+            x = mpmath.mpf(p) + 1
+            log_ratio = mpmath.loggamma(x) - mpmath.loggamma(x + mpmath.mpf(alpha))
+            self._check(power_rule_coefficient(p, alpha), log_ratio)
 
 
 class TestZeta:

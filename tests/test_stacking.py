@@ -12,7 +12,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracrelax import _kernels, solver, tables
@@ -62,6 +62,8 @@ class TestStackedRecurrence:
         n=st.integers(4, 5000),
         seed=st.integers(0, 2**32 - 1),
     )
+    # FFT steps with two residuals (to 2^13) and with one (the last, to 2^14).
+    @example(alphas=[0.3, 1.4], tag="A", n=2**14, seed=14)
     def test_rows_equal_single_row_calls(self, alphas, tag, n, seed):
         args = stacked_args(alphas, tag, n, seed)
         got = _kernels.recurrence(*args)
