@@ -200,6 +200,16 @@ def _table_ids(parser: argparse.ArgumentParser, tokens: list[str]) -> list[int]:
     return ids
 
 
+def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """parser.parse_args(argv), with an unknown argument refused in the one
+    line of its command: "fracrelax sweep: error: unrecognized arguments:
+    --bogus" (argparse's own line names only "fracrelax")."""
+    args, extra = parser.parse_known_args(argv)
+    if extra:
+        _command_error(parser, args.command, f"unrecognized arguments: {' '.join(extra)}")
+    return args
+
+
 @functools.cache
 def _main_parser() -> argparse.ArgumentParser:
     """The parser main uses, built on main's first call and then kept:
@@ -210,11 +220,11 @@ def _main_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _main_parser()
-    args = parser.parse_args(argv)
+    args = _parse(parser, argv)
     if getattr(args, "preset", None):
         preset = [f"--{key.replace('_', '-')}={value}"
                   for key, value in _load_preset(args.preset).items() if hasattr(args, key)]
-        args = parser.parse_args([args.command, *preset, *argv[1:]])
+        args = _parse(parser, [args.command, *preset, *argv[1:]])
     out = _resolve_out(getattr(args, "out", None))
 
     if args.command == "table":

@@ -8,7 +8,8 @@ precomputed table (zeta's Euler-Maclaurin coefficients B_2j/(2j)!) is a
 constant, so every entry point is safe to call concurrently.
 
 ``mittag_leffler`` routes each point of ``z`` on its own, by (alpha, beta,
-z) alone, so each element of an array call equals its one-point call:
+z) alone, and evaluates it once, by one method, so each element of an array
+call equals its one-point call:
 
 * The power series (``_ml_series``) takes every point when alpha >= 2, a z
   whose series is short, and a z > 0 whose pole lies near the contour.  It
@@ -51,10 +52,10 @@ z) alone, so each element of an array call equals its one-point call:
   [0, 100], for beta in [0.5, 5] (1e-11 for beta up to 20), and within
   3e-13 on z = x^alpha past x = 16 and on E_{1,1+alpha}(x) up to x = 708.
 
-Still refused: a z whose value overflows a double (for z > 0, E grows like
-exp(z^(1/alpha))); for alpha >= 2, a z whose series cancels or has a term
-past the double range (E_{2,1}(1e4) = cosh(100) is one); and an infinite
-or nan z.
+Still refused, by ``mittag_leffler`` alone: a z whose value overflows a
+double (for z > 0, E grows like exp(z^(1/alpha))), whichever method takes
+it; for alpha >= 2, a z whose series cancels or has a term past the double
+range (E_{2,1}(1e4) = cosh(100) is one); and an infinite or nan z.
 """
 
 from __future__ import annotations
@@ -255,9 +256,11 @@ def _zeta_em(s: float, s_minus_1: float) -> float:
 # ---------------------------------------------------------------------------
 
 _ML_MAX_TERMS = 10_000
-# rows (terms) and elements of one block of the series' running sums
+# rows (terms) of one block of the series' running sums, and the most values
+# one block array of the series, or one (points x nodes) chunk of the
+# contour, holds
 _ML_BLOCK_ROWS = 16
-_ML_BLOCK_SIZE = 2**18
+_ML_CHUNK = 2**18
 _ML_RTOL = 1e-16
 # an alternating series loses about (largest term) * eps to cancellation;
 # past this absolute error, scaled by max(1, |E|), the sum is refused
@@ -277,12 +280,10 @@ _ML_LOG_RTOL = math.log(_ML_RTOL)
 # or whose largest term may pass the cancellation limit
 _ML_LOG_PEAK = math.log(_ML_ATOL * 2.0**52)
 # the contour s(u) = mu (1 + iu)^2 and its trapezoidal rule: nodes u = k h,
-# k = 0 .. _MLC_NODES - 1 (or shifted by h/2), and the most (points x nodes)
-# values one chunk of points holds
+# k = 0 .. _MLC_NODES - 1 (or shifted by h/2)
 _MLC_MU = 4.5
 _MLC_STEP = 0.14
 _MLC_NODES = 21
-_MLC_CHUNK = 2**18
 # a pole whose trapezoidal error may pass exp(-40) = 4e-18 is subtracted
 _MLC_LOG_POLE = -40.0
 
@@ -303,19 +304,20 @@ def mittag_leffler(alpha: float, beta: float, z: float | np.ndarray) -> float | 
     """Two-parameter Mittag-Leffler function E_{alpha,beta}(z).
 
     ``z`` is a float or an array: a float (or a 0-d array) gives a float, an
-    array gives an array of its shape.  Each point is evaluated on its own,
-    by the power series (``_ml_series``) or, for 0 < alpha < 2 and a z past
-    the series' reach, by the trapezoidal rule on a parabolic contour
-    (``_ml_contour``), so each value is the one a single-point call gives.
-    ``_ml_routes_to_contour`` chooses, with no term summed (module
-    docstring); every z < 0 that the series would refuse goes to the contour.
+    array gives an array of its shape.  Each point is evaluated once, on its
+    own, by one method: the power series (``_ml_series``) or, for
+    0 < alpha < 2 and a z past the series' reach, the trapezoidal rule on a
+    parabolic contour (``_ml_contour``), so each value is the one a
+    single-point call gives.  ``_ml_routes_to_contour`` chooses, with no term
+    summed (module docstring); every z < 0 that the series would refuse goes
+    to the contour.
 
     Raises ConvergenceError, naming the lowest-index refused z, for an
-    infinite or nan z (before any term is summed) and for a point that the
-    series refuses: its term-magnitude guard is not met within 10,000 terms,
-    cancellation between its largest term and its sum could leave an error
-    above 1e-10 * max(1, |E|), or a term or the sum overflows a double.  A z
-    whose contour value overflows goes to the series, which refuses it.  The
+    infinite or nan z (before any term is summed), for a point whose contour
+    value overflows a double, and for a point that the series refuses: its
+    term-magnitude guard is not met within 10,000 terms, cancellation
+    between its largest term and its sum could leave an error above
+    1e-10 * max(1, |E|), or a term or the sum overflows a double.  The
     refused points are thus a z > 0 whose value overflows and, for
     alpha >= 2, a large z.  A non-positive, infinite or nan alpha and an
     infinite or nan beta raise ValueError before any term.
@@ -330,17 +332,20 @@ def mittag_leffler(alpha: float, beta: float, z: float | np.ndarray) -> float | 
         raise ValueError(f"mittag_leffler requires a finite beta, got beta={beta}")
     zs = np.asarray(z, dtype=float)
     zv = zs.ravel()
-    with np.errstate(over="ignore", invalid="ignore"):
-        # the series alone refuses an infinite or nan z, before any term
-        contour = _ml_routes_to_contour(alpha, beta, zv) & np.isfinite(zv).all()
-        if not contour.any():
-            return _ml_series(alpha, beta, z)
-        out = np.empty(zs.size)
-        out[contour] = _ml_contour(alpha, beta, zv[contour])
-    # and a contour value past the double range, which it refuses
-    series = ~(contour & np.isfinite(out))
-    if series.any():
-        out[series] = _ml_series(alpha, beta, zv[series])
+    out = np.empty(zs.size)
+    # per point, an index into _ML_REFUSALS; an infinite or nan z is refused
+    # before any term
+    refused = (2 * np.isinf(zv) + 4 * np.isnan(zv)).astype(np.int8)
+    if not refused.any():
+        with np.errstate(over="ignore", invalid="ignore"):
+            contour = _ml_routes_to_contour(alpha, beta, zv)
+            idx = np.flatnonzero(contour)
+            if idx.size:
+                out[idx] = _ml_contour(alpha, beta, zv[idx])
+                refused[idx[~np.isfinite(out[idx])]] = 2
+        _ml_series(alpha, beta, zv, np.flatnonzero(~contour), out, refused)
+    if refused.any():
+        raise _ml_refusal(alpha, beta, zs, refused)
     return float(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
 
 
@@ -412,14 +417,18 @@ def _ml_pole(alpha: float, beta: float, z: np.ndarray) -> tuple[np.ndarray, ...]
             log_err > _MLC_LOG_POLE, np.abs(k - np.round(k)) < 0.25)
 
 
-def _ml_series(alpha: float, beta: float, z: float | np.ndarray) -> float | np.ndarray:
+def _ml_series(
+    alpha: float, beta: float, zv: np.ndarray, idx: np.ndarray,
+    out: np.ndarray, refused: np.ndarray,
+) -> None:
     """E_{alpha,beta}(z) by its power series, with compensated (Kahan)
-    accumulation, summed over all points of ``z`` at once (shapes and
-    refusals as in ``mittag_leffler``).  Gamma(alpha n + beta) is computed
-    once per term, each point keeps its own z^n, largest term and sum, and
-    leaves the sum at the term where its own series has converged, so each
-    value is the one a single-point call gives.  A z^n past the double range
-    makes its term inf, and the point is refused as an overflow.
+    accumulation, for the points ``idx`` of the 1-d array of finite ``zv``,
+    summed over all of them at once: each gets its value in ``out`` or its
+    refusal code (``_ML_REFUSALS``) in ``refused``.  Gamma(alpha n + beta) is
+    computed once per term, each point keeps its own z^n, largest term and
+    sum, and leaves the sum at the term where its own series has converged,
+    so each value is the one a single-point call gives.  A z^n past the
+    double range makes its term inf, and the point is refused as an overflow.
     Gamma is taken as the largest double past 171.6, where it leaves the
     double range: a term that is still not below the tolerance there keeps
     the point live until z^n overflows, and none ends a series early.  Nor
@@ -433,55 +442,36 @@ def _ml_series(alpha: float, beta: float, z: float | np.ndarray) -> float | np.n
     the convergence, overflow and cancellation tests then run once over the
     block, each point stopping at its own first converged term, and the
     points still live are compacted once.  A block has at most 16 terms and,
-    unless a single term row is larger, 2^18 elements (2 MB per array).  The
-    two arrays are allocated once per call, and each block uses their
-    leading elements.
+    unless a single term row is larger, 2^18 elements (2 MB per array).
 
-    Raises ConvergenceError, naming the lowest-index refused z, if a point's
-    term-magnitude guard is not met within 10,000 terms, if cancellation
-    between its largest term and its sum could leave an error above
-    1e-10 * max(1, |E|), or if a term or the sum overflows a double.  An
-    infinite or nan z is refused before any term is summed.
+    A point is refused if its term-magnitude guard is not met within 10,000
+    terms (code 3), if cancellation between its largest term and its sum
+    could leave an error above 1e-10 * max(1, |E|) (code 1), or if a term or
+    the sum overflows a double (code 2).
     """
-    if alpha <= 0.0:
-        raise ValueError("mittag_leffler requires alpha > 0")
-    zs = np.asarray(z, dtype=float)
-    zv = zs.ravel()
-    # per point, an index into _ML_REFUSALS
-    refused = (2 * np.isinf(zv) + 4 * np.isnan(zv)).astype(np.int8)
-    if refused.any():
-        raise _ml_refusal(alpha, beta, zs, refused)
-    out = np.empty(zs.size)
     # the points whose series is still being summed: index, z, z^n, sum,
     # Kahan compensation and largest |term| so far
-    live = (np.arange(zs.size), zv, np.ones(zs.size), np.zeros(zs.size),
-            np.zeros(zs.size), np.zeros(zs.size))
-    # the block's terms and Kahan sums; no block is larger than the first
-    cap = min(_ML_BLOCK_ROWS * zs.size, max(_ML_BLOCK_SIZE, zs.size))
-    bufs = (np.empty(cap), np.empty(cap))
+    live = (idx, zv[idx], np.ones(idx.size), np.zeros(idx.size),
+            np.zeros(idx.size), np.zeros(idx.size))
     n = 0
     # a term or sum that overflows (and the nan its Kahan compensation then
     # takes) is refused below, and so is a term divided by a Gamma that
     # underflowed to 0 (an argument below about -178)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while live[0].size and n < _ML_MAX_TERMS:
-            n, live = _ml_block(alpha, beta, n, live, out, refused, bufs)
+            n, live = _ml_block(alpha, beta, n, live, out, refused)
     refused[live[0]] = 3
-    if refused.any():
-        raise _ml_refusal(alpha, beta, zs, refused)
-    return float(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
 
 
 def _ml_block(
     alpha: float, beta: float, n: int, live: tuple[np.ndarray, ...],
-    out: np.ndarray, refused: np.ndarray, bufs: tuple[np.ndarray, np.ndarray],
+    out: np.ndarray, refused: np.ndarray,
 ) -> tuple[int, tuple[np.ndarray, ...]]:
     """Sum one block of terms, from term n on, for the live points (see
-    _ml_series), in the leading elements of the two buffers.  A point whose
-    series finishes in the block gets its value in ``out`` and its refusal
-    code, if any, in ``refused``.  Returns the next term's n and the state of
-    the points still live; z^n, the sum and the compensation are updated in
-    place."""
+    _ml_series).  A point whose series finishes in the block gets its value
+    in ``out`` and its refusal code, if any, in ``refused``.  Returns the
+    next term's n and the state of the points still live; z^n, the sum and
+    the compensation are updated in place."""
     idx, zv, zn, total, comp, largest = live
     size = idx.size
     arg = alpha * n + beta
@@ -494,32 +484,38 @@ def _ml_block(
         # is still live
         rows = 1
     else:
-        rows = min(_ML_BLOCK_ROWS, max(1, _ML_BLOCK_SIZE // size), _ML_MAX_TERMS - n)
+        rows = min(_ML_BLOCK_ROWS, max(1, _ML_CHUNK // size), _ML_MAX_TERMS - n)
     gammas = [gamma(a) if a <= _GAMMA_MAX_ARG else sys.float_info.max
               for a in (alpha * k + beta for k in range(n, n + rows))]
     # z^n .. z^(n+rows-1), each row the one before times z, then z^(n+rows)
-    terms = bufs[0][: rows * size].reshape(rows, size)
+    terms = np.empty((rows, size))
     terms[0] = zn
     for p0, p1 in zip(terms, chain(terms[1:], (zn,))):
         np.multiply(p0, zv, out=p1)
     terms /= np.array(gammas)[:, None]
     # Kahan rows: sums[r] is the sum up to the term of row r
-    sums = bufs[1][: rows * size].reshape(rows, size)
+    sums = np.empty((rows, size))
     y = np.empty(size)
     for term, t0, t1 in zip(terms, chain((total,), sums), sums):
         np.subtract(term, comp, out=y)
         np.add(t0, y, out=t1)
         np.subtract(t1, t0, out=comp)
         np.subtract(comp, y, out=comp)
-    # the next block writes the buffers over
     total[...] = sums[-1]
     terms = np.abs(terms, out=terms)
     # the largest |term| up to the block's end, in y, which the sums are done with
     top = np.maximum(terms.max(axis=0, out=y), largest, out=y)
     # each point finishes at its first row whose term is below the tolerance
-    # or whose sum overflows; a sum that overflowed stays inf or nan, so the
-    # last row shows whether any did
-    finished = _ml_converged(terms, sums)
+    # 1e-16 * (1 + |sum|) or whose sum overflows; a sum that overflowed stays
+    # inf or nan, so the last row shows whether any did.  The tolerances are
+    # taken in place (numpy reuses no temporary below 256 KiB, and one
+    # expression's extra ones raised the tables' peak RSS) and freed before
+    # the live points are compacted
+    tol = np.abs(sums)
+    tol += 1.0
+    tol *= _ML_RTOL
+    finished = terms < tol
+    del tol
     if arg < 1.0:
         # a term whose Gamma argument is below 1 ends no series (_ml_series)
         finished[: sum(alpha * k + beta < 1.0 for k in range(n, n + rows))] = False
@@ -549,16 +545,6 @@ def _ml_block(
     return n + rows, tuple(a.take(keep) for a in live)
 
 
-def _ml_converged(abs_terms: np.ndarray, sums: np.ndarray) -> np.ndarray:
-    """Where a term is below the series' tolerance, 1e-16 * (1 + |sum|); a
-    function of its own, so that the tolerances are freed before the block's
-    points are compacted."""
-    tol = np.abs(sums)
-    tol += 1.0
-    tol *= _ML_RTOL
-    return abs_terms < tol
-
-
 def _ml_contour(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
     """E_{alpha,beta}(z) for 0 < alpha < 2 and a 1-d array of finite z, by
     the trapezoidal rule on a parabolic contour (module docstring).
@@ -577,7 +563,6 @@ def _ml_contour(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
     quarter step (in Re u) of a node, as a real pole does, uses the nodes
     shifted by half a step instead.
     """
-    z = np.asarray(z, dtype=float)
     out = np.zeros(z.size)
     shifted = np.zeros(z.size, dtype=bool)
     near = np.zeros(z.size, dtype=bool)
@@ -595,7 +580,7 @@ def _ml_contour(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
     out[has[add]] = 2.0 * half[add] * res.real
     poles[near] = np.exp(logs[close])
     coef[near] = np.exp((1.0 - beta) * logs[close]) / alpha * half[close]
-    rows = max(1, _MLC_CHUNK // _MLC_NODES)
+    rows = max(1, _ML_CHUNK // _MLC_NODES)
     for shift in (False, True):
         pts = np.flatnonzero(shifted == shift)
         if not pts.size:

@@ -321,6 +321,15 @@ class TestParser:
         assert err.count("\n") == 1
         assert err.startswith(line)
 
+    @pytest.mark.parametrize("argv", [("sweep", "--bogus"), ("table", "1", "--bogus")],
+                             ids=" ".join)
+    def test_unknown_flag_names_its_command(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.console_main(list(argv))
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (f"fracrelax {argv[0]}: error: "
+                                           f"unrecognized arguments: --bogus\n")
+
 
 class TestRejectedStepsAndSizes:
     """A step or size the runs cannot use exits 2 with one error line before

@@ -67,6 +67,18 @@ def scalar_ml_reference(alpha: float, beta: float, z: float) -> float:
     raise ConvergenceError("no convergence")
 
 
+@pytest.fixture(scope="module")
+def ml_series():
+    """``mittag_leffler`` with every point sent to the series: the power
+    series' own values and refusals, for any alpha."""
+    def series(alpha, beta, z):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(specfun, "_ml_routes_to_contour",
+                       lambda alpha, beta, zv: np.zeros(zv.size, dtype=bool))
+            return mittag_leffler(alpha, beta, z)
+    return series
+
+
 class TestGamma:
     @pytest.mark.parametrize(
         "x", [0.1, 0.5, 1.0, 1.5, 2.0, 4.25, 10.0, 25.5, 50.0, 100.0, 143.5, 150.0, 171.5]
@@ -282,11 +294,11 @@ class TestMittagLeffler:
         assert abs(mittag_leffler(alpha, 1.0, z) - expect) <= 1e-10 * max(1.0, abs(expect))
 
     @pytest.mark.parametrize("z", [-5.0, -10.0])
-    def test_cancellation_raises(self, z):
+    def test_cancellation_raises(self, ml_series, z):
         # the alternating series cannot resolve E_{1/2,1}(z) to 1e-10 here;
         # mittag_leffler takes such points to the contour
         with pytest.raises(ConvergenceError):
-            specfun._ml_series(0.5, 1.0, z)
+            ml_series(0.5, 1.0, z)
 
     def test_alpha_validation(self):
         with pytest.raises(ValueError):
@@ -367,34 +379,43 @@ class TestMittagLefflerArrays:
         got = mittag_leffler(0.5, 1.0, np.empty((0, 3)))
         assert isinstance(got, np.ndarray) and got.shape == (0, 3)
 
-    def test_error_names_lowest_index_refused_point(self):
+    def test_error_names_lowest_index_refused_point(self, ml_series):
         # z = -10 (index 2) and z = -5 (index 3) are both refused; -5 would
         # finish its series first
         z = np.array([[0.1, -3.0], [-10.0, -5.0]])
         with pytest.raises(ConvergenceError, match=r"z=-10\.0;"):
-            specfun._ml_series(0.5, 1.0, z)
+            ml_series(0.5, 1.0, z)
 
 
 class TestMittagLefflerNamedErrors:
     """Arguments past the series' reach raise ConvergenceError, with no
     numpy warning and no bare OverflowError or inf on the way.  Of them,
-    mittag_leffler still refuses a z > 0 whose value overflows (its contour
-    value goes back to the series), a large z when alpha >= 2, and an
-    infinite or nan z; any other z goes to the contour."""
+    mittag_leffler still refuses a z > 0 whose value overflows (on the
+    contour or the series, whichever takes it), a large z when alpha >= 2,
+    and an infinite or nan z; any other z goes to the contour."""
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "alpha,z", [(0.5, -30.0), (0.1, -2.0), (0.5, 40.0), (0.5, math.inf), (0.5, 1e308)]
     )
-    def test_overflow_is_refused(self, alpha, z):
+    def test_overflow_is_refused(self, ml_series, alpha, z):
         with pytest.raises(ConvergenceError, match="overflows a double"):
-            specfun._ml_series(alpha, 1.0, z)
+            ml_series(alpha, 1.0, z)
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("alpha,z", [(0.5, 40.0), (0.5, math.inf), (0.5, 1e308)])
-    def test_positive_overflow_is_refused_by_mittag_leffler(self, alpha, z):
-        with pytest.raises(ConvergenceError, match="overflows a double"):
-            mittag_leffler(alpha, 1.0, z)
+    @pytest.mark.parametrize("alpha,beta,z", [
+        (0.5, 1.0, 40.0), (0.5, 1.0, math.inf), (0.5, 1.0, 1e308),
+        # contour values past the double range (log E is about 770.8 at
+        # E_{1,20}(900)), which the series used to take and end at its
+        # first term, 1/Gamma(beta)
+        (1.0, 20.0, 900.0), (0.035, 36.9, 3.0),
+    ])
+    def test_positive_overflow_is_refused_by_mittag_leffler(self, alpha, beta, z):
+        # alone, and after points with finite values
+        for arg in (z, np.array([0.5, -1.0, z])):
+            with pytest.raises(ConvergenceError, match="overflows a double") as exc:
+                mittag_leffler(alpha, beta, arg)
+            assert f"z={z};" in str(exc.value)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("beta", [1.0, 18.0])
@@ -492,21 +513,21 @@ class TestMittagLefflerBlocks:
         got = mittag_leffler(1.0, 1.0, zs)
         assert got.tolist() == [scalar_ml_reference(1.0, 1.0, float(z)) for z in zs]
 
-    def test_cancellation_mid_block_names_the_lowest_index_point(self):
+    def test_cancellation_mid_block_names_the_lowest_index_point(self, ml_series):
         row, outcome = _ml_trace(0.5, 1.0, -4.5)
         assert outcome == "cancellation" and row % self.ROWS not in (0, self.ROWS - 1)
         with pytest.raises(ConvergenceError) as one:
-            specfun._ml_series(0.5, 1.0, -4.5)
+            ml_series(0.5, 1.0, -4.5)
         # 44.0 overflows too, at a later row
         with pytest.raises(ConvergenceError) as exc:
-            specfun._ml_series(0.5, 1.0, np.array([0.25, -4.5, 44.0, 1.0]))
+            ml_series(0.5, 1.0, np.array([0.25, -4.5, 44.0, 1.0]))
         assert str(exc.value) == str(one.value)
         assert "loses accuracy to cancellation" in str(exc.value)
 
-    def test_overflow_mid_block_names_the_lowest_index_point(self):
+    def test_overflow_mid_block_names_the_lowest_index_point(self, ml_series):
         # overflows at sixteen successive rows, so that some stop mid-block
-        # whatever the block boundaries; mittag_leffler sends each of these
-        # to the contour, whose value overflows, and then to the series
+        # whatever the block boundaries; mittag_leffler itself sends each of
+        # these to the contour, whose value overflows
         by_row = {}
         for k in range(800):
             # z^n overflows at n = 710 / log z: rows 168 to 209
@@ -519,10 +540,10 @@ class TestMittagLefflerBlocks:
         for row in rows:
             z = by_row[row]
             with pytest.raises(ConvergenceError) as one:
-                mittag_leffler(0.5, 1.0, z)
+                ml_series(0.5, 1.0, z)
             # -4.5 stops first, refused for cancellation, but comes later
             with pytest.raises(ConvergenceError) as exc:
-                mittag_leffler(0.5, 1.0, np.array([0.25, z, -4.5, 1.0]))
+                ml_series(0.5, 1.0, np.array([0.25, z, -4.5, 1.0]))
             assert str(exc.value) == str(one.value)
             assert "overflows a double" in str(exc.value)
 
@@ -625,10 +646,10 @@ class TestMittagLefflerContour:
         want = _ml_inverse_n(n, z)
         assert abs(mittag_leffler(1.0 / n, 1.0, z) - want) <= 1e-10 * max(1.0, abs(want))
 
-    def test_refused_arrays_are_resolved(self):
+    def test_refused_arrays_are_resolved(self, ml_series):
         z = np.array([[0.1, -3.0], [-10.0, -5.0]])
         got = mittag_leffler(0.5, 1.0, z)
-        assert got[0, 0] == specfun._ml_series(0.5, 1.0, 0.1)
+        assert got[0, 0] == ml_series(0.5, 1.0, 0.1)
         for v, zi in zip(got.ravel()[1:], z.ravel()[1:]):
             want = _ml_inverse_n(2, zi)
             assert abs(v - want) <= 1e-10 * max(1.0, abs(want))
@@ -636,13 +657,13 @@ class TestMittagLefflerContour:
         with pytest.raises(ConvergenceError, match=r"overflows a double .* z=44\.0;"):
             mittag_leffler(0.5, 1.0, np.array([0.25, -4.5, 44.0, 1.0]))
 
-    def test_every_series_refusal_goes_to_the_contour(self):
+    def test_every_series_refusal_goes_to_the_contour(self, ml_series):
         for alpha in np.linspace(0.05, 1.99, 14):
             for beta in (0.01, 0.5, 1.0, 1.0 + 3.0 * alpha, 4.0):
                 zs = -np.linspace(0.5, 30.0, 60) ** alpha
                 routed = specfun._ml_routes_to_contour(alpha, beta, zs)
                 for z in zs[~routed]:
-                    specfun._ml_series(alpha, beta, float(z))
+                    ml_series(alpha, beta, float(z))
                 assert np.all(np.isfinite(mittag_leffler(alpha, beta, zs)))
 
     @settings(max_examples=40, deadline=None)
@@ -651,7 +672,8 @@ class TestMittagLefflerContour:
         beta=st.floats(0.1, 6.0),
         scale=st.lists(st.floats(0.8, 1.25), min_size=1, max_size=12),
     )
-    def test_elements_straddling_the_crossover_are_one_point_calls(self, alpha, beta, scale):
+    def test_elements_straddling_the_crossover_are_one_point_calls(self, ml_series, alpha, beta,
+                                                                   scale):
         # the predicted term at n = _ML_CROSSOVER crosses the series'
         # tolerance at |z| = zc
         n = specfun._ML_CROSSOVER
@@ -662,7 +684,30 @@ class TestMittagLefflerContour:
         assert got.tolist() == [mittag_leffler(alpha, beta, float(z)) for z in zs]
         for v, z, on_contour in zip(got, zs, routed):
             if not on_contour:
-                assert v == specfun._ml_series(alpha, beta, float(z))
+                assert v == ml_series(alpha, beta, float(z))
+
+    def test_each_point_is_evaluated_once(self, monkeypatch):
+        # z = 0.1 and z = 3 (whose pole lies near the contour) on the series;
+        # z = -10 (past 34 terms), z = 5 (its pole far from the contour) and
+        # z = 40 (whose value overflows) on the contour
+        zs = np.array([0.1, -10.0, 5.0, 3.0, 40.0])
+        seen = {"contour": [], "series": []}
+
+        def contour(alpha, beta, z):
+            seen["contour"] += [zs.tolist().index(v) for v in z]
+            return contour_fn(alpha, beta, z)
+
+        def series(alpha, beta, zv, idx, out, refused):
+            seen["series"] += idx.tolist()
+            return series_fn(alpha, beta, zv, idx, out, refused)
+
+        contour_fn, series_fn = specfun._ml_contour, specfun._ml_series
+        monkeypatch.setattr(specfun, "_ml_contour", contour)
+        monkeypatch.setattr(specfun, "_ml_series", series)
+        with pytest.raises(ConvergenceError, match=r"overflows a double .* z=40\.0;"):
+            mittag_leffler(0.5, 1.0, zs)
+        assert sorted(seen["contour"]) == [1, 2, 4]
+        assert sorted(seen["series"]) == [0, 3]
 
     def test_tables_send_no_point_to_the_contour(self, monkeypatch):
         from fracrelax import tables
@@ -679,7 +724,7 @@ class TestMittagLefflerContour:
             tables.check_table(table_id)
         assert points == []
 
-    def test_positive_z_is_the_series_bit_for_bit(self):
+    def test_positive_z_is_the_series_bit_for_bit(self, ml_series):
         # every z > 0 the router keeps has its series value, which is the
         # reference's; cli_scan's exp forcing keeps all of [0, 6.26]
         rng = np.random.default_rng(4)
@@ -692,7 +737,7 @@ class TestMittagLefflerContour:
             routed += to_contour.sum()
             kept = zs[~to_contour]
             got = mittag_leffler(alpha, beta, kept)
-            assert got.tobytes() == specfun._ml_series(alpha, beta, kept).tobytes()
+            assert got.tobytes() == ml_series(alpha, beta, kept).tobytes()
             assert got.tolist() == [scalar_ml_reference(alpha, beta, float(z)) for z in kept]
         assert not specfun._ml_routes_to_contour(*cases[0]).any()
         assert routed > 100
@@ -722,7 +767,7 @@ class TestMittagLefflerContour:
             assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
 
     def test_chunks_of_a_large_call(self):
-        zs = -np.linspace(0.0, 100.0, 3 * (specfun._MLC_CHUNK // specfun._MLC_NODES)) ** 1.5
+        zs = -np.linspace(0.0, 100.0, 3 * (specfun._ML_CHUNK // specfun._MLC_NODES)) ** 1.5
         got = mittag_leffler(1.5, 1.0, zs)
         for i in (0, 1, 12_000, 12_483, 25_000, len(zs) - 1):
             assert got[i] == mittag_leffler(1.5, 1.0, float(zs[i]))
