@@ -30,7 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from .fracint import STARTUP_ZEROS, alpha_in_range
-from .problems import make_exp_problem, make_ml_problem, make_power_problem
+from .problems import PROBLEM_KINDS, make_problem
+from .report import sweep_steps
 from .solver import convergence_sweep, fewest_steps, solve, tabulate
 from .tables import TABLE_IDS, check_table
 
@@ -74,27 +75,23 @@ def _emit(text: str, out: Path | None) -> None:
 
 
 def _make_problem(args) -> object:
-    if args.problem == "power":
-        return make_power_problem(args.p, args.alpha, X=args.X)
-    if args.problem == "exp":
-        return make_exp_problem(args.m, args.alpha, X=args.X)
-    return make_ml_problem(args.m, args.alpha, X=args.X)
+    param = args.p if args.problem == "power" else args.m
+    return make_problem(args.problem, param, args.alpha, X=args.X)
 
 
 def _parse_h_list(spec: str) -> list[float]:
+    """The steps of --h-list; sweep_steps refuses an empty or not strictly
+    decreasing list."""
     hs = [float(tok) for tok in spec.replace(";", ",").split(",") if tok.strip()]
-    if not hs:
-        raise ValueError("empty h list")
-    if any(a <= b for a, b in zip(hs, hs[1:])):
-        raise ValueError("h list must be strictly decreasing")
+    sweep_steps(hs)
     return hs
 
 
 def _check_step(h: float, X: float, schemes: Sequence[str] = (), sweep: bool = False) -> None:
     """Refuse a step that is not finite and positive, whose run on [0, X]
     would take more than MAX_STEPS steps, or whose coarsest run takes fewer
-    steps than one of the schemes needs.  A sweep's coarsest run is at 2h
-    (report.sweep), a curve's at h."""
+    steps than one of the schemes needs.  A sweep's coarsest run is the
+    first of report.sweep_steps([h]), a curve's is at h."""
     if not (math.isfinite(h) and h > 0.0):
         raise ValueError(f"steps must be finite and positive, got {h:g}")
     if X / h > MAX_STEPS:
@@ -104,7 +101,7 @@ def _check_step(h: float, X: float, schemes: Sequence[str] = (), sweep: bool = F
         return
     tag = max(schemes, key=STARTUP_ZEROS.__getitem__)
     need = fewest_steps(STARTUP_ZEROS[tag])
-    coarsest = 2.0 * h if sweep else h
+    coarsest = sweep_steps([h])[0] if sweep else h
     n = round(X / coarsest)
     if n < need:
         run = f"a sweep's first run, at 2h = {coarsest:g}, takes" if sweep else "it takes"
@@ -148,12 +145,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, with_scheme_list=False):
         p.add_argument("--preset", help="key=value preset file seeding the options below")
-        p.add_argument("--problem", choices=("power", "exp", "ml"), default="power")
+        p.add_argument("--problem", choices=PROBLEM_KINDS, default="power")
         p.add_argument("--alpha", type=float, default=0.5)
         p.add_argument("--p", type=float, default=4.0, help="exponent for the power problem")
         p.add_argument("--m", type=int, default=2, help="remainder degree for exp/ml problems")
         p.add_argument("--X", type=float, default=1.0, help="right endpoint of the interval")
-        p.add_argument("--format", choices=("csv", "json", "md", "markdown"), default="csv")
         p.add_argument("--out", help="output path (stdout when omitted); relative "
                        "paths honor FRACRELAX_OUT_DIR")
         if with_scheme_list:
@@ -164,6 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="convergence sweep over a list of steps")
     add_common(p_sweep)
+    p_sweep.add_argument("--format", choices=("csv", "json", "md", "markdown"), default="csv")
     p_sweep.add_argument("--h-list", default=_DEFAULT_H,
                          help="comma-separated decreasing steps")
 

@@ -8,8 +8,8 @@ Three families:
           fractional Taylor polynomial of degree m.
 
 Each factory returns an immutable problem with vectorized forcing/exact
-evaluators; residual_check validates the (F, y) pair against a high-resolution
-end-corrected quadrature.
+evaluators, and make_problem builds one by its kind's name; residual_check
+validates the (F, y) pair against a high-resolution end-corrected quadrature.
 """
 
 from __future__ import annotations
@@ -29,6 +29,8 @@ __all__ = [
     "make_power_problem",
     "make_exp_problem",
     "make_ml_problem",
+    "PROBLEM_KINDS",
+    "make_problem",
     "residual_check",
 ]
 
@@ -158,6 +160,20 @@ def make_ml_problem(m: int, alpha: float, X: float = 1.0) -> BenchmarkProblem:
         label=f"ml[m={m}]",
         vanishing_order=vanish,
     )
+
+
+# the kinds of make_problem, each built by its factory make_<kind>_problem
+PROBLEM_KINDS = ("power", "exp", "ml")
+
+
+def make_problem(kind: str, param: float, alpha: float, X: float = 1.0) -> BenchmarkProblem:
+    """The problem of a kind in PROBLEM_KINDS: make_<kind>_problem(param,
+    alpha, X), param being p for power and the integer m for exp and ml.  The
+    factory is looked up at each call, so a wrapper bound in its place (such
+    as a profiler's) sees every problem made."""
+    if kind not in PROBLEM_KINDS:
+        raise ValueError(f"unknown problem kind {kind!r}")
+    return globals()[f"make_{kind}_problem"](param, alpha, X=X)
 
 
 def residual_check(problem: BenchmarkProblem, samples: int = 20, n: int = 4096) -> float:

@@ -1,6 +1,9 @@
 """Convergence reports: rows of (h, max error, empirical order) with optional
 reference columns, rendered as CSV, Markdown or JSON.
 
+sweep_steps plans a sweep's runs, and sweep forms each row's order from the
+errors and steps of the row's run and the next coarser one.
+
 Numeric output is deterministic; the timestamp lives in the metadata block
 (comment lines in CSV, a field in JSON) and is the only run-dependent value.
 """
@@ -9,16 +12,19 @@ from __future__ import annotations
 
 import datetime
 import math
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from . import __version__
 
-__all__ = ["ConvergenceRow", "ConvergenceReport", "empirical_order", "sweep"]
+__all__ = ["ConvergenceRow", "ConvergenceReport", "empirical_order", "sweep_steps", "sweep"]
 
 
-def empirical_order(err_coarse: float, err_fine: float) -> float:
-    """Order under grid halving: log2(E(h)/E(h/2))."""
-    return math.log2(err_coarse / err_fine)
+def empirical_order(err_coarse: float, err_fine: float,
+                    h_coarse: float = 2.0, h_fine: float = 1.0) -> float:
+    """Order p of errors E ~ h^p that fall from err_coarse at step h_coarse to
+    err_fine at step h_fine: log2(E_coarse/E_fine) / log2(h_coarse/h_fine).
+    The default steps are one grid halving, whose log2 ratio is exactly 1."""
+    return math.log2(err_coarse / err_fine) / math.log2(h_coarse / h_fine)
 
 
 class ConvergenceRow(NamedTuple):
@@ -133,30 +139,35 @@ class ConvergenceReport:
         raise ValueError(f"unknown format {fmt!r}")
 
 
-def sweep(errors: Callable[[list[float]], list[float]], hs, label: str, scheme: str,
-          alpha: float, expected: list[tuple[float, float]] | None = None) -> ConvergenceReport:
+def sweep_steps(hs) -> list[float]:
+    """The steps a sweep over hs runs: [2*hs[0], *hs], whose extra coarsest
+    run, not itself reported, gives the first row its order.  hs must be
+    non-empty and strictly decreasing (ValueError)."""
+    hs = list(hs)
+    if not hs:
+        raise ValueError("empty h list")
+    if any(not a > b for a, b in zip(hs, hs[1:])):
+        raise ValueError("h list must be strictly decreasing")
+    return [2.0 * hs[0], *hs]
+
+
+def sweep(errors, hs, label: str, scheme: str, alpha: float,
+          expected: list[tuple[float, float]] | None = None) -> ConvergenceReport:
     """Convergence report over the decreasing steps hs.
 
-    errors(steps) returns the error of one run at each step of
-    steps = [2*hs[0]] + hs.  Each row takes its empirical order from the next
-    coarser run, so the extra run at 2*hs[0], not itself reported, supplies
-    the first row's order.  expected holds one (error, order) reference pair
-    per row.  An error that is 0 or not finite, such as that of a solution
-    that underflows to 0 on every node, gives no order: ValueError names its
-    step.
+    errors holds the error of one run at each step of sweep_steps(hs).  Each
+    row takes its empirical order from the next coarser run and the ratio of
+    the two steps.  expected holds one (error, order) reference pair per row.
+    An error that is 0 or not finite, such as that of a solution that
+    underflows to 0 on every node, gives no order: ValueError names its step.
     """
-    hs = list(hs)
-    steps = [2.0 * hs[0]] + hs
-    errs = errors(steps)
-    for h, err in zip(steps, errs):
+    steps = sweep_steps(hs)
+    for h, err in zip(steps, errors, strict=True):
         if not 0.0 < err < math.inf:
             raise ValueError(f"{label}: the error at step {h:g} is {err:g}, "
                              "which gives no order")
-    refs = [(None, None)] * len(hs) if expected is None else expected
-    runs = zip(hs, errs[:-1], errs[1:], refs, strict=True)
-    rows = [
-        ConvergenceRow(h=h, max_error=err, order=empirical_order(coarse, err),
-                       expected_error=exp_err, expected_order=exp_ord)
-        for h, coarse, err, (exp_err, exp_ord) in runs
-    ]
+    refs = [(None, None)] * (len(steps) - 1) if expected is None else expected
+    runs = zip(steps[:-1], steps[1:], errors[:-1], errors[1:], refs, strict=True)
+    rows = [ConvergenceRow(h, err, empirical_order(coarse, err, h_coarse, h), *ref)
+            for h_coarse, h, coarse, err, ref in runs]
     return ConvergenceReport(label=label, scheme=scheme, alpha=alpha, rows=rows)

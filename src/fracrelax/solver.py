@@ -6,14 +6,15 @@ orders alpha, 1+alpha, 2+alpha, 3+alpha, 4+alpha.  Each is the same explicit
 causal recurrence with its own end-correction weights, a lower-triangular
 Toeplitz system that fracrelax._kernels solves in O(n log n).
 
-convergence_sweep runs one scheme over a list of steps h and reports errors
-and empirical orders.  It builds one Tabulation per sweep (tabulate), which
-holds what the runs share: the forcing and exact solution, evaluated once on
-the sorted union of every run's nodes; each run's node indices; the scheme
-coefficients; and the power weights of the finest run, which every run
-slices.  Each run gathers its forcing from it, and the errors of all the
-problems are reduced at once.  The union is built without np.unique, whose
-first use imports numpy.ma, about 10 ms of every fresh process.
+convergence_sweep runs one scheme at the steps report.sweep_steps plans and
+hands the runs' errors to report.sweep.  It builds one Tabulation per sweep
+(tabulate), which holds what the runs share: the forcing and exact solution,
+evaluated once on the sorted union of every run's nodes; each run's node
+indices; the scheme coefficients; and the power weights of the finest run,
+which every run slices.  Each run is one solve on it, and each grid's error
+is max_error's against the tabulated exact values.  The union is built
+without np.unique, whose first use imports numpy.ma, about 10 ms of every
+fresh process.
 
 solve and convergence_sweep also take a sequence of problems on the same
 [0, X], such as a table's columns.  Each run then solves all of them in one
@@ -36,7 +37,7 @@ from .fracint import (
     power_weights,
     scheme_coefficients,
 )
-from .report import ConvergenceReport, sweep
+from .report import ConvergenceReport, sweep, sweep_steps
 from .specfun import gamma
 
 __all__ = [
@@ -73,74 +74,64 @@ def fewest_steps(startup_zeros: int) -> int:
     return startup_zeros + 2
 
 
-def solve_with_coefficients(
-    forcing: Callable,
-    coeffs: SchemeCoefficients,
-    n: int,
-    X: float = 1.0,
-) -> UniformGrid:
+def solve_with_coefficients(forcing: Callable, coeffs: SchemeCoefficients, n: int,
+                            X: float = 1.0) -> UniformGrid:
     """Run the explicit recurrence with an arbitrary coefficient set."""
-    return _solve_rows(_on_nodes([forcing], n, X), [coeffs], n, X, [""])[0]
+    u = _solve_rows(_on_nodes([forcing], np.linspace(0.0, X, n + 1)), [coeffs], n, X, [""])
+    return UniformGrid(X=X, n=n, values=u[0])
 
 
-def _on_nodes(functions, n: int, X: float):
-    """Each function's values on the n+1 nodes of [0, X], one row at a time.
-    The nodes are freed with the last row, before the recurrence runs."""
-    x = np.linspace(0.0, X, n + 1)
-    for f in functions:
-        yield f(x)
+def _on_nodes(functions, x: np.ndarray) -> np.ndarray:
+    """Each function's values on the nodes x, one row per function; a value
+    past the double range is left inf or nan, without a warning."""
+    F = np.empty((len(functions), x.size))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for row, f in zip(F, functions):
+            row[:] = f(x)
+    return F
 
 
-def _solve_rows(forcing_rows, coeffs, n: int, X: float, labels,
-                weights=None) -> list[UniformGrid]:
-    """One grid per row of coeffs, all rows solved by one stacked
-    _kernels.recurrence call.  forcing_rows, an iterator, yields the rows'
-    forcing values on the n+1 nodes of [0, X], one row at a time, and lets
-    them go once exhausted, before the recurrence runs; weights, when given,
-    holds the rows' power weights w_0..w_m for an m >= n.  The rows share n,
-    X and the startup zeros; an error names the label of the row at fault."""
+def _solve_rows(F, coeffs, n: int, X: float, labels, weights=None) -> np.ndarray:
+    """The (R, n+1) solutions of the R rows of coeffs by one stacked
+    _kernels.recurrence call, from F, the rows' forcing on the n+1 nodes of
+    [0, X], and weights, when given, the rows' power weights w_0..w_m, m >= n.
+    The rows share n, X and the startup zeros; an error names the row's label."""
     startup_zeros = coeffs[0].startup_zeros
     if n < fewest_steps(startup_zeros):
         raise ValueError(f"n={n} too small for startup_zeros={startup_zeros}")
     h = X / n
     wheres = [f" for {label}" if label else "" for label in labels]
     R = len(coeffs)
-    F = np.empty((R, n + 1))
     gams, h_alphas = np.empty(R), np.empty(R)
     for i, (c, where) in enumerate(zip(coeffs, wheres)):
-        alpha = c.alpha
-        gam = gamma(alpha)
+        gam = gamma(c.alpha)
         try:
-            h_alpha = h**alpha
+            h_alpha = h**c.alpha
         except OverflowError:
             raise NonFiniteSolutionError(
                 f"h^alpha overflows a double at h={h:g}{where}") from None
         c0 = c.c[0] if c.c else 0.0
         if abs(gam + c0 * h_alpha) <= 1e-12:
             raise DegenerateDenominatorError(
-                f"Gamma(alpha) + c_0 h^alpha degenerate for alpha={alpha}, h={h}{where}"
+                f"Gamma(alpha) + c_0 h^alpha degenerate for alpha={c.alpha}, h={h}{where}"
             )
         gams[i], h_alphas[i] = gam, h_alpha
     if weights is None:
-        weights = np.empty((R, n + 1))
-        for row, c in zip(weights, coeffs):
-            row[:] = power_weights(c.alpha, n)
+        weights = np.array([power_weights(c.alpha, n) for c in coeffs])
     corr = np.array([c.c for c in coeffs], dtype=float).reshape(R, -1)
     # A forcing value or a sum past the double range is inf or nan; a forcing
     # is refused here, a solution row below.
+    for row, where in zip(F, wheres):
+        if not np.all(np.isfinite(row)):
+            raise NonFiniteSolutionError(f"forcing is not finite on [0, {X:g}]{where}")
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, (row, where) in enumerate(zip(forcing_rows, wheres)):
-            F[i] = row
-            if not np.all(np.isfinite(F[i])):
-                raise NonFiniteSolutionError(f"forcing is not finite on [0, {X:g}]{where}")
-        del row  # freed before the recurrence, whose last step sets peak memory
         u = _kernels.recurrence(F, weights, corr, startup_zeros, gams, h_alphas)
     for row, where in zip(u, wheres):
         if not np.all(np.isfinite(row)):
             raise NonFiniteSolutionError(
                 f"scheme solution overflows a double on [0, {X:g}] at n={n}{where}"
             )
-    return [UniformGrid(X=X, n=n, values=row) for row in u]
+    return u
 
 
 def solve(problem, scheme: str, n: int) -> UniformGrid | list[UniformGrid]:
@@ -163,15 +154,18 @@ def solve(problem, scheme: str, n: int) -> UniformGrid | list[UniformGrid]:
         idx = problem.index.get(n)
         if idx is None:
             raise NodeNotTabulatedError(f"the grid of n={n} steps is not tabulated")
-        return _solve_rows(iter(problem.forcing[:, idx]), problem.coefficients(scheme),
-                           n, problem.X, [p.label for p in problem.problems],
-                           problem.weights[:, : n + 1])
-    problems = problem if isinstance(problem, Sequence) else [problem]
-    X = _shared_X(problems)
-    coeffs = [scheme_coefficients(p.alpha, scheme) for p in problems]
-    grids = _solve_rows(_on_nodes([p.forcing for p in problems], n, X), coeffs, n, X,
-                        [p.label for p in problems])
-    return grids if isinstance(problem, Sequence) else grids[0]
+        problems, X = problem.problems, problem.X
+        u = _solve_rows(problem.forcing[:, idx], problem.coefficients(scheme), n, X,
+                        [p.label for p in problems], problem.weights[:, : n + 1])
+    else:
+        problems = problem if isinstance(problem, Sequence) else [problem]
+        X = _shared_X(problems)
+        coeffs = [scheme_coefficients(p.alpha, scheme) for p in problems]
+        # the nodes are freed when _on_nodes returns, before the recurrence
+        F = _on_nodes([p.forcing for p in problems], np.linspace(0.0, X, n + 1))
+        u = _solve_rows(F, coeffs, n, X, [p.label for p in problems])
+    grids = [UniformGrid(X=X, n=n, values=row) for row in u]
+    return grids if isinstance(problem, (Tabulation, Sequence)) else grids[0]
 
 
 def _shared_X(problems) -> float:
@@ -181,15 +175,16 @@ def _shared_X(problems) -> float:
     return X
 
 
-def max_error(numeric: UniformGrid, exact: Callable, skip: int = 0) -> float:
-    """max over m >= 1 + skip of |u_m - y(x_m)|.
+def max_error(numeric: UniformGrid, exact, skip: int = 0) -> float:
+    """max over m >= 1 + skip of |u_m - y(x_m)|, with exact the solution y,
+    a callable, or its values y(x_0)..y(x_n) on the grid's nodes.
 
     skip > 0 excludes prescribed startup nodes, whose error is the exact
     solution value itself rather than a property of the recurrence.
     """
     lo = 1 + skip
-    x = numeric.nodes[lo:]
-    return float(np.max(np.abs(numeric.values[lo:] - np.asarray(exact(x), dtype=float))))
+    y = exact(numeric.nodes[lo:]) if callable(exact) else exact[lo:]
+    return float(np.max(np.abs(numeric.values[lo:] - np.asarray(y, dtype=float))))
 
 
 class Tabulation:
@@ -198,17 +193,14 @@ class Tabulation:
     sorted union x of the grids' nodes; each grid's indices into x, by its
     number of steps n; each problem's power weights w_0..w_N at the largest
     such n, which every run slices; and each problem's scheme coefficients,
-    computed for a tag on its first solve.  len() is the number of problems.
-    A plain class: a dataclass compiles its generated methods on every import.
+    computed for a tag on its first solve.  A plain class: a dataclass
+    compiles its generated methods on every import.
     """
 
     def __init__(self, problems, X, x, forcing, exact, index, weights):
         self.problems, self.X, self.x, self.index = problems, X, x, index
         self.forcing, self.exact, self.weights = forcing, exact, weights
         self._coeffs = {}
-
-    def __len__(self) -> int:
-        return len(self.problems)
 
     def coefficients(self, tag: str) -> list[SchemeCoefficients]:
         if tag not in self._coeffs:
@@ -226,30 +218,26 @@ def tabulate(problems, ns) -> Tabulation:
     grids = [np.linspace(0.0, X, n + 1) for n in ns]
     x = np.sort(np.concatenate(grids))
     x = x[np.concatenate(([True], x[1:] != x[:-1]))]
-    F, y = np.empty((2, len(problems), x.size))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i, problem in enumerate(problems):
-            F[i] = problem.forcing(x)
-            y[i] = problem.exact(x)
-            if not (np.all(np.isfinite(F[i])) and np.all(np.isfinite(y[i]))):
-                raise NonFiniteSolutionError(
-                    f"forcing or exact solution is not finite on [0, {X:g}]")
+    F = _on_nodes([p.forcing for p in problems], x)
+    y = _on_nodes([p.exact for p in problems], x)
+    if not (np.all(np.isfinite(F)) and np.all(np.isfinite(y))):
+        raise NonFiniteSolutionError(f"forcing or exact solution is not finite on [0, {X:g}]")
     weights = np.array([power_weights(p.alpha, max(ns)) for p in problems])
     index = {n: np.searchsorted(x, grid) for n, grid in zip(ns, grids)}
     return Tabulation(tuple(problems), X, x, F, y, index, weights)
 
 
-def convergence_sweep(
-    problem, tag: str, hs, **report_fields
-) -> ConvergenceReport | list[ConvergenceReport]:
+def convergence_sweep(problem, tag: str, hs,
+                      **report_fields) -> ConvergenceReport | list[ConvergenceReport]:
     """Convergence report of the scheme `tag` on problem over the decreasing
-    steps hs, built by report.sweep; the error of a run is max_error's, with
-    the scheme's startup nodes skipped.  report_fields (label, alpha,
-    expected) pass to sweep, with scheme=tag.
+    steps hs, built by report.sweep from the errors of the runs at
+    report.sweep_steps(hs); the error of a run is max_error's, with the
+    scheme's startup nodes skipped.  report_fields (label, alpha, expected)
+    pass to sweep, with scheme=tag.
 
-    The sweep builds one Tabulation (tabulate) of the grids of all the steps
-    report.sweep runs.  Each step is one solve call on it, and the errors of
-    all its problems are reduced at once against the tabulated exact rows.
+    The sweep builds one Tabulation (tabulate) of the grids of all its runs.
+    Each run is one solve call on it, and each grid's error is taken against
+    the tabulated exact values on its nodes.
 
     problem may also be a sequence of problems on the same [0, X].  Each
     report field is then a sequence with one entry per problem, and the
@@ -260,29 +248,15 @@ def convergence_sweep(
     problems = [problem] if single else problem
     fields = [report_fields] if single else [
         {k: v[i] for k, v in report_fields.items()} for i in range(len(problems))]
-    lo = 1 + STARTUP_ZEROS[tag]
-    X = problems[0].X
-    # One report per problem, each through report.sweep; the first sweep
-    # runs every problem at the steps sweep asks for, and the others read
-    # their errors at the same steps.
-    runs = {}
-
-    def errors(i):
-        def of(steps):
-            key = tuple(steps)
-            if key not in runs:
-                ns = [round(X / h) for h in steps]
-                tab = tabulate(problems, ns)
-                runs[key] = []
-                for n in ns:
-                    u = np.array([grid.values for grid in solve(tab, tag, n)])
-                    err = np.abs(u[:, lo:] - tab.exact[:, tab.index[n][lo:]])
-                    runs[key].append(np.max(err, axis=1).tolist())
-            return [errs[i] for errs in runs[key]]
-
-        return of
-
-    reports = [sweep(errors(i), hs, scheme=tag, **f) for i, f in enumerate(fields)]
+    ns = [round(problems[0].X / h) for h in sweep_steps(hs)]
+    tab = tabulate(problems, ns)
+    skip = STARTUP_ZEROS[tag]
+    runs = []  # runs[j][i]: problem i's error at the run of ns[j] steps
+    for n in ns:
+        exact = tab.exact[:, tab.index[n]]
+        runs.append([max_error(grid, y, skip) for grid, y in zip(solve(tab, tag, n), exact)])
+    reports = [sweep([errs[i] for errs in runs], hs, scheme=tag, **f)
+               for i, f in enumerate(fields)]
     return reports[0] if single else reports
 
 

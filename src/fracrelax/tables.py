@@ -22,8 +22,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .fracint import EndpointDerivatives, UniformGrid, corrected_trapezoid_K
-from .problems import BenchmarkProblem, make_exp_problem, make_ml_problem, make_power_problem
-from .report import ConvergenceReport, sweep
+from .problems import BenchmarkProblem, make_problem
+from .report import ConvergenceReport, sweep, sweep_steps
 # solve stays bound here: perfbench's tracer tests read tables.solve.
 from .solver import convergence_sweep, solve  # noqa: F401
 from .specfun import gamma, mittag_leffler
@@ -152,8 +152,8 @@ _TABLE1_H = (0.025, 0.0125, 0.00625, 0.003125)
 class TableColumn(NamedTuple):
     """One (problem, alpha) column of a solver table."""
 
-    problem_kind: str  # "power", "exp" or "ml"
-    param: float  # p for power, m for exp/ml
+    problem_kind: str  # one of problems.PROBLEM_KINDS
+    param: float  # p for power, the integer m for exp/ml
     alpha: float
     expected: tuple[tuple[float, float], ...]  # (error, order) per row
     # When False the reference error magnitudes are not compared (used for the
@@ -162,13 +162,7 @@ class TableColumn(NamedTuple):
     compare_errors: bool = True
 
     def make_problem(self) -> BenchmarkProblem:
-        if self.problem_kind == "power":
-            return make_power_problem(self.param, self.alpha)
-        if self.problem_kind == "exp":
-            return make_exp_problem(int(self.param), self.alpha)
-        if self.problem_kind == "ml":
-            return make_ml_problem(int(self.param), self.alpha)
-        raise ValueError(f"unknown problem kind {self.problem_kind!r}")
+        return make_problem(self.problem_kind, self.param, self.alpha)
 
 
 class TableSpec(NamedTuple):
@@ -282,21 +276,12 @@ def _reproduce_table1() -> list[ConvergenceReport]:
     for case, ref in zip(_TABLE1_CASES, _TABLE1_REF):
         deriv = case.derivatives(case.X)
         target = case.exact(case.alpha, case.X)
-
-        def error_at_h(h):
+        errors = []
+        for h in sweep_steps(_TABLE1_H):
             grid = UniformGrid.sample(case.f, case.X, round(case.X / h))
-            return abs(corrected_trapezoid_K(grid, case.alpha, deriv, order=4) - target)
-
-        reports.append(
-            sweep(
-                lambda steps: [error_at_h(h) for h in steps],
-                _TABLE1_H,
-                label=case.label,
-                scheme="trapezoid-4",
-                alpha=case.alpha,
-                expected=list(ref),
-            )
-        )
+            errors.append(abs(corrected_trapezoid_K(grid, case.alpha, deriv, order=4) - target))
+        reports.append(sweep(errors, _TABLE1_H, label=case.label, scheme="trapezoid-4",
+                             alpha=case.alpha, expected=list(ref)))
     return reports
 
 

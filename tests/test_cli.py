@@ -56,6 +56,14 @@ class TestSweep:
         strip = lambda t: [l for l in t.splitlines() if not l.startswith("# timestamp")]
         assert strip(out1) == strip(out2)
 
+    def test_orders_on_steps_that_do_not_halve(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "--p", "4", "--alpha", "0.5", "--scheme", "A1",
+                               "--h-list", "0.02,0.015,0.01,0.0075,0.005", "--format", "json")
+        assert code == 0
+        orders = [row["order"] for row in json.loads(out)["rows"]]
+        assert len(orders) == 5
+        assert all(abs(order - 1.5) <= 0.05 for order in orders), orders
+
     def test_bad_h_list(self, capsys):
         argv = ["sweep", "--h-list", "0.025,0.05"]
         with pytest.raises(ValueError):
@@ -531,6 +539,22 @@ class TestCurve:
         for col, tag in ((2, "A"), (3, "A4")):
             u = solve(problem, tag, 20).values
             assert [line[col] for line in lines] == [f"{v:.10e}" for v in u]
+
+    @pytest.mark.parametrize("fmt", ["json", "md"])
+    def test_format_is_not_a_curve_option(self, capsys, fmt):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(capsys, "curve", "--format", fmt)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("fracrelax curve: error: ")
+
+    def test_preset_format_is_ignored(self, capsys, tmp_path):
+        preset = tmp_path / "json.preset"
+        preset.write_text("format=json\n")
+        code, out, _ = run_cli(capsys, "curve", "--preset", str(preset))
+        assert code == 0
+        assert out.splitlines()[0] == "x,exact,u_A,u_A1"
 
     def test_unknown_scheme_rejected(self, capsys):
         with pytest.raises(SystemExit):

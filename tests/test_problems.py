@@ -15,13 +15,47 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from fracrelax.fracint import UniformGrid, alpha_in_range, corrected_sum_I, scheme_coefficients
+from fracrelax import problems
 from fracrelax.problems import (
+    PROBLEM_KINDS,
     make_exp_problem,
     make_ml_problem,
     make_power_problem,
+    make_problem,
     residual_check,
 )
 from fracrelax.specfun import gamma
+
+
+class TestMakeProblem:
+    @pytest.mark.parametrize("kind,factory,param", [
+        ("power", make_power_problem, 4.0),
+        ("exp", make_exp_problem, 2),
+        ("ml", make_ml_problem, 3),
+    ])
+    def test_builds_the_factory_problem(self, kind, factory, param):
+        x = np.linspace(0.0, 2.0, 9)
+        got, want = make_problem(kind, param, 0.7, X=2.0), factory(param, 0.7, X=2.0)
+        assert (got.label, got.alpha, got.X) == (want.label, want.alpha, want.X)
+        assert np.array_equal(got.forcing(x), want.forcing(x))
+        assert np.array_equal(got.exact(x), want.exact(x))
+
+    def test_kinds(self):
+        assert PROBLEM_KINDS == ("power", "exp", "ml")
+        with pytest.raises(ValueError, match="unknown problem kind 'cos'"):
+            make_problem("cos", 1.0, 0.5)
+
+    def test_calls_the_factory_bound_in_the_module(self, monkeypatch):
+        calls = []
+        real = problems.make_exp_problem
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(problems, "make_exp_problem", counted)
+        make_problem("exp", 2, 0.5)
+        assert calls == [(2, 0.5)]
 
 
 class TestPowerProblem:

@@ -6,13 +6,14 @@ import json
 
 import pytest
 
-from fracrelax.report import ConvergenceReport, ConvergenceRow, empirical_order, sweep
+from fracrelax.report import (ConvergenceReport, ConvergenceRow, empirical_order, sweep,
+                              sweep_steps)
 
 
 def _sample_report(expected=None):
     # the unreported run at h = 0.2 gives the first row the order 1.48
     return sweep(
-        lambda steps: [1e-3 * 2.0**1.48, 1e-3, 3.5e-4],
+        [1e-3 * 2.0**1.48, 1e-3, 3.5e-4],
         [0.1, 0.05],
         label="demo",
         scheme="A1",
@@ -33,17 +34,33 @@ class TestAssembly:
             (1.1e-3, 1.5), (3.0e-4, 1.5)]
 
     def test_sweep_orders_first_row_from_extra_coarse_run(self):
-        calls = []
-
-        def errors(steps):
-            calls.append(steps)
-            return [h**2 for h in steps]
-
-        rep = sweep(errors, (0.1, 0.05), label="demo", scheme="A", alpha=0.5)
-        assert calls == [[0.2, 0.1, 0.05]]
+        steps = sweep_steps((0.1, 0.05))
+        assert steps == [0.2, 0.1, 0.05]
+        rep = sweep([h**2 for h in steps], (0.1, 0.05), label="demo", scheme="A", alpha=0.5)
         assert [r.h for r in rep.rows] == [0.1, 0.05]
         assert [r.max_error for r in rep.rows] == [0.1**2, 0.05**2]
         assert [r.order for r in rep.rows] == pytest.approx([2.0, 2.0])
+
+    def test_orders_on_steps_that_do_not_halve(self):
+        hs = [0.02, 0.015, 0.01, 0.0075, 0.005]
+        rep = sweep([h**1.5 for h in sweep_steps(hs)], hs, label="demo", scheme="A1",
+                    alpha=0.5)
+        assert [r.order for r in rep.rows] == pytest.approx([1.5] * len(hs), rel=1e-12)
+
+    def test_halving_steps_keep_the_log2_order(self):
+        assert empirical_order(3e-4, 1e-4, 0.025, 0.0125) == empirical_order(3e-4, 1e-4)
+
+    @pytest.mark.parametrize("hs,message", [
+        ([], "empty h list"),
+        ([0.1, 0.1], "strictly decreasing"),
+        ([0.05, 0.1], "strictly decreasing"),
+        ([0.1, float("nan")], "strictly decreasing"),
+    ])
+    def test_empty_or_not_decreasing_steps_are_refused(self, hs, message):
+        with pytest.raises(ValueError, match=message):
+            sweep_steps(hs)
+        with pytest.raises(ValueError, match=message):
+            sweep([1.0] * (len(hs) + 1), hs, label="demo", scheme="A", alpha=0.5)
 
     @pytest.mark.parametrize("bad", [0.0, float("nan"), float("inf")])
     @pytest.mark.parametrize("at", [0, 1, 2])
@@ -52,7 +69,7 @@ class TestAssembly:
         errs[at] = bad
         step = (0.2, 0.1, 0.05)[at]
         with pytest.raises(ValueError, match=f"demo: the error at step {step:g} is {bad:g}"):
-            sweep(lambda steps: errs, (0.1, 0.05), label="demo", scheme="A", alpha=0.5)
+            sweep(errs, (0.1, 0.05), label="demo", scheme="A", alpha=0.5)
 
     def test_descending_h_enforced(self):
         rows = [ConvergenceRow(0.05, 1e-3, None), ConvergenceRow(0.1, 1e-2, None)]

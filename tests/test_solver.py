@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from fracrelax import cli
 from fracrelax.fracint import STARTUP_ZEROS, SchemeCoefficients, alpha_in_range, scheme_coefficients
 from fracrelax.problems import make_exp_problem, make_ml_problem, make_power_problem
-from fracrelax.report import sweep
+from fracrelax.report import sweep, sweep_steps
 from fracrelax.solver import (
     DegenerateDenominatorError,
     NodeNotTabulatedError,
@@ -142,11 +142,8 @@ class TestSolve:
 def per_run_sweep(problem, tag, hs, **report_fields):
     """The sweep with forcing and exact evaluated again on each run's grid."""
     skip = STARTUP_ZEROS[tag]
-
-    def errors(steps):
-        return [max_error(solve(problem, tag, round(problem.X / h)), problem.exact, skip=skip)
-                for h in steps]
-
+    errors = [max_error(solve(problem, tag, round(problem.X / h)), problem.exact, skip=skip)
+              for h in sweep_steps(hs)]
     return sweep(errors, hs, **report_fields)
 
 
@@ -195,6 +192,11 @@ class TestConvergenceSweep:
                           label="ml", alpha=0.75)
         assert sorted(calls) == ["exact", "forcing"]
 
+    @pytest.mark.parametrize("hs", [[], (0.1, 0.1), [0.05, 0.1]])
+    def test_empty_or_not_decreasing_steps_are_refused(self, hs):
+        with pytest.raises(ValueError, match="empty h list|strictly decreasing"):
+            convergence_sweep(make_power_problem(4, 0.5), "A", hs, label="x", alpha=0.5)
+
 
 class TestTabulation:
     # nested steps, as a table's sweep takes, and non-nested ones
@@ -206,7 +208,7 @@ class TestTabulation:
         problems = [make_power_problem(4.0, 0.3), make_exp_problem(2, 1.5),
                     make_ml_problem(2, 0.7)]
         tab = tabulate(problems, ns)
-        assert len(tab) == 3
+        assert len(tab.problems) == 3
         for n in ns:
             for got, want in zip(solve(tab, tag, n), solve(problems, tag, n)):
                 assert (got.X, got.n) == (want.X, want.n)
@@ -242,6 +244,12 @@ class TestTabulation:
 
 
 class TestMaxError:
+    @pytest.mark.parametrize("skip", [0, 2])
+    def test_exact_values_equal_the_exact_callable(self, skip):
+        prob = make_ml_problem(2, 0.75)
+        u = solve(prob, "A4", 40)
+        assert max_error(u, prob.exact(u.nodes), skip) == max_error(u, prob.exact, skip)
+
     def test_skip_excludes_startup_nodes(self):
         prob = make_power_problem(4.0, 0.5)
         u = solve(prob, "A4", 64)

@@ -224,7 +224,7 @@ class TestStackedSweep:
         real = solver.solve
 
         def counted(problem, tag, n):
-            calls.append((len(problem), n))
+            calls.append((len(problem.problems), n))
             return real(problem, tag, n)
 
         monkeypatch.setattr(solver, "solve", counted)
