@@ -3,49 +3,54 @@
 Every scheme solves the same linear equation y + I^alpha y = F, so its
 recurrence is a lower-triangular Toeplitz system a * v = g on the unknowns
 past the startup zeros.  The system is solved as the power-series quotient
-g / a by Newton doubling (Karp-Markstein: each step extends the inverse of a
-and the quotient together), in O(n log n) operations; Hairer, Lubich and
-Schlichte (SIAM J. Sci. Stat. Comput. 6, 1985) give the classical fast solve
-of the same cost.
+g / a, in O(n log n) operations: Newton doubling computes only the inverse
+1/a, to K = ceil(N/2) terms for N unknowns, and one Karp-Markstein step
+(ACM TOMS 23(4), 1997) closes with the quotient, v[:K] = (g / a) mod z^K, the
+residual r = (g - a v)[K:N] and v[K:N] = (r / a) mod z^(N-K).  Hairer, Lubich
+and Schlichte (SIAM J. Sci. Stat. Comput. 6, 1985) give the classical fast
+solve of the same cost.
 
-Step plan.  The steps are planned top-down from the number N of unknowns:
-the last step ends at N, and a step that ends at t starts at ceil(t/2), down
-to 1 (step_ends).  A step from k to t extends v and the inverse from k to t
-terms, so no step computes a term past N.  For N a power of two the plan is
-the plain doubling.  The first unknowns, up to the largest step end b at or
+Step plan.  The inverse's steps are planned top-down from K: the last step
+ends at K, and a step that ends at t starts at ceil(t/2), down to 1
+(step_ends).  A step from k to t extends the inverse from k to t terms, so
+no step computes a term past K.  For K a power of two the plan is the plain
+doubling.  The inverse's first terms, up to the largest step end b at or
 below BASE_MAX, come from the plain recurrence in Python floats, where a
 numpy call costs more than the whole block's arithmetic, and the doubling
 starts at b.
 
-Products.  A step forms a times (v, inverse), which gives the residuals
-(r, e), and the inverse times (r, e), which gives the new terms.  While
-t <= DIRECT_PRODUCT_MAX, where a call's overhead costs more than the
-arithmetic a transform saves, each row forms them with np.convolve, four
-calls per step.  Above it they are formed by real FFTs of length M, the
-smallest 2^a 3^b 5^c at or above t (transform_length), whose cyclic
-wrap-around lands only on terms the step does not read; no transform is
-padded to the next power of two.  v and the inverse are two rows of one
-array, and so are r and e, so an FFT step makes five transform calls: a,
-(v, inverse), the two products with a, (r, e), and the two products with
-the inverse.  The last step needs no e.
+Products.  A doubling step forms a times the inverse, which gives the
+residual e, and the inverse times e, which gives the new terms; the last
+step forms the inverse times g, a times v[:K] and the inverse times r.
+While a step ends at or below DIRECT_PRODUCT_MAX, where a call's overhead
+costs more than the arithmetic a transform saves, each row forms them with
+np.convolve: two calls per doubling step and three in the last step.
+Above it they are formed by real FFTs of length M, the smallest 2^a 3^b 5^c
+at or above the step's end (transform_length), whose cyclic wrap-around
+lands only on terms the step does not read; no transform is padded to the
+next power of two.  An FFT doubling step makes five transform calls: a,
+the inverse, their product, e and the product with e.  The last step makes
+seven: (inverse, g) in one stacked call, their product, a, v[:K], their
+product, r and the product with r.
 
-Memory.  Each product is written into the transform it replaces, and each
-transform and inverse transform is freed after its last read; the output is
-allocated after the steps.  numpy's complex product is not bitwise
-commutative, so every step takes its operands in one fixed order, (a,
-(v, inverse)) and (inverse, residuals), whatever the size.  The last step
-sets the peak: the forcing, the weights, a and (v, inverse), and
-its transforms.  solve at n = 2^14, 2^15 or 2^18 peaks at 9.0 rows of n+1
-doubles under tracemalloc, the solver's own arrays included; it peaked at
-13.6 rows when each product took an array of its own and the nodes and the
-output were held through the steps.
+Memory.  Each product is written into the transform it replaces, the last
+step's later transforms into g's, and each array is freed after its last
+read; v is written into the output.  numpy's complex product is not bitwise
+commutative, so every step takes its operands in one fixed order, a before
+the inverse and the inverse before g and the residuals, whatever the size.
+The last step sets the peak: the forcing, the weights, a, the output and
+the two transforms of (inverse, g), with one more transform or product.
+solve at n = 2^14, 2^15 or 2^18 peaks at 7.0 rows of n+1 doubles under
+tracemalloc, the solver's own arrays included; it peaked at 9.0 rows when
+every doubling step carried the quotient beside the inverse, and at 13.6
+when each product took an array of its own and the nodes and the output
+were held through the steps.
 
 Stacked rows.  recurrence takes one row or a stack of R rows that share n
 and the startup zeros, such as a table's columns.  The first block and the
 direct steps run row by row; each FFT step transforms every row in the same
-five calls, along the last axis.  Each row's arithmetic is that of its
-one-row call, so each row of a stacked solve equals its own solve bit for
-bit.
+calls, along the last axis.  Each row's arithmetic is that of its one-row
+call, so each row of a stacked solve equals its own solve bit for bit.
 """
 
 from __future__ import annotations
@@ -116,8 +121,8 @@ def recurrence(
     corr = np.reshape(corr, (R, -1))
     first = startup_zeros + 1
     N = n1 - first
+    u = np.zeros((R, n1))
     if N <= 0:
-        u = np.zeros((R, n1))
         return u if np.ndim(forcing) == 2 else u[0]
     a = ha * np.atleast_2d(weights)[:, :N]
     a[:, 0] = gam[:, 0]
@@ -126,72 +131,92 @@ def recurrence(
     # The dominant a_0 and inv_0 = 1/a_0 enter as exact scalar products, not
     # through the products below, so that their roundoff scales with the
     # smaller terms only; a_0 and the inverse's first term are kept 0.
-    ninv0 = -1.0 / a[:, :1]
+    inv0 = 1.0 / a[:, :1]
     a[:, 0] = 0.0
-    # g_i = Gamma(alpha) F_{first+i}.  w[:, 0] holds -v and w[:, 1] the
-    # inverse 1/a mod z^t: every negation is exact, and with -v the two
-    # residuals of a step are g and 0 plus the products of a with w.
-    F = F[:, first:]
-    w = np.zeros((R, 2, N))
-    ends = step_ends(N)
-    # The first b unknowns come from the plain recurrence, and the doubling
-    # starts at b.
+    # g_i = Gamma(alpha) F_{first+i}; v is written into the output.  w[:, 0]
+    # holds the inverse 1/a mod z^t, up to t = K, and w[:, 1] g mod z^K.
+    F, v = F[:, first:], u[:, first:]
+    K = (N + 1) // 2
+    w = np.zeros((R, 2, K))
+    np.multiply(gam, F[:, :K], out=w[:, 1])
+    ends = step_ends(K)
+    # The first b terms of the inverse come from the plain recurrence, and
+    # the doubling starts at b.
     b = max(t for t in ends if t <= BASE_MAX)
     steps = [(k, t) for k, t in zip(ends, ends[1:]) if k >= b]
     direct = [st for st in steps if st[1] <= DIRECT_PRODUCT_MAX]
-    # g and -inv_0 a on the terms that the rows' own loop reads
-    span = direct[-1][1] if direct else b
-    g, ca = gam * F[:, :span], ninv0 * a[:, :span]
-    for ar, gr, car, vr, ir, c in zip(a, g, ca, w[:, 0], w[:, 1], ninv0[:, 0]):
-        # v_j and inv_j for 0 < j < b from sum_{i<=j} a_i v_{j-i} = g_j and
-        # sum_{i<=j} a_i inv_{j-i} = 0, with the true a_0 = -1/c, in Python
-        # floats
-        al, gl = ar[:b].tolist(), gr[:b].tolist()
-        nv, iv = [c * gl[0]] + [0.0] * (b - 1), [0.0] * b
-        for j in range(1, b):
-            sv, si = gl[j] + al[j] * nv[0], -c * al[j]
-            for i in range(1, j):
-                sv += al[i] * nv[j - i]
-                si += al[i] * iv[j - i]
-            nv[j], iv[j] = c * sv, c * si
-        vr[:b], ir[:b] = nv, iv
-        # v and the inverse are exact mod z^k.  A step to t forms the
-        # residuals r = (g - a v)[k:t] and e = (a inv + inv_0 a)[k:t] and
-        # sets v[k:t] = inv_0 r + (inv r) mod z^m and inv[k:t] = -(inv_0 e +
-        # (inv e) mod z^m), m = t - k <= k.  The last step needs no e.
-        for k, t in direct:
-            m = t - k
-            r = gr[k:t] + np.convolve(ar[:t], vr[:k])[k:t]
-            if t < N:
-                e = np.convolve(ar[:t], ir[:k])[k:t] - car[k:t]
-                ir[k:t] = c * e - np.convolve(ir[:m], e)[:m]
-            vr[k:t] = c * r - np.convolve(ir[:m], r)[:m]
+    inv = w[:, 0]
+    for i in range(R):
+        _inverse_head(a[i], inv[i], inv0[i, 0], b, direct)
     # The same steps for all rows at once, by FFT.  Each product is written
     # into the transform it replaces, operands in a fixed order, and each
-    # array is freed after its last read: the last step sets peak memory, 9 rows.
+    # array is freed after its last read.
     for k, t in steps[len(direct):]:
         m = t - k
-        ops = 1 if t == N else 2
         M = transform_length(t)
         fa = rfft(a[:, :t], M)
-        fw = rfft(w[:, :, :k], M)
-        # the last step reads v's transform only here, so its product overwrites it
-        fp = np.multiply(fa[:, None], fw[:, :1], out=fw[:, :1]) if ops == 1 else fa[:, None] * fw
+        fi = rfft(inv[:, :k], M)
+        p = irfft(np.multiply(fa, fi, out=fa), M)
         del fa
-        p = irfft(fp, M)
-        del fp
-        res = np.empty((R, ops, m))
-        np.add(gam * F[:, k:t], p[:, 0, k:t], out=res[:, 0])
-        if ops == 2:
-            np.subtract(p[:, 1, k:t], ninv0 * a[:, k:t], out=res[:, 1])
+        e = p[:, k:t] + inv0 * a[:, k:t]
         del p
-        fr = rfft(res, M)
-        np.multiply(fw[:, 1:], fr, out=fr)
-        del fw
-        q = irfft(fr, M)
-        del fr
-        np.subtract(ninv0[:, None] * res, q[..., :m], out=w[:, :ops, k:t])
-        del q, res
-    u = np.zeros((R, n1))
-    np.negative(w[:, 0], out=u[:, first:])
+        fe = rfft(e, M)
+        q = irfft(np.multiply(fi, fe, out=fe), M)
+        del fi, fe
+        np.subtract(-(inv0 * e), q[:, :m], out=inv[:, k:t])
+        del q, e
+    # The Karp-Markstein step: v[:K] = (inv g) mod z^K, r = (g - a v)[K:N]
+    # and v[K:N] = (inv r) mod z^(N-K), N - K <= K.  v[K:N] starts as g[K:N].
+    lo, hi = v[:, :K], v[:, K:]
+    np.multiply(gam, F[:, K:], out=hi)
+    if N <= DIRECT_PRODUCT_MAX:
+        for ar, ir, gr, vr, c in zip(a, inv, w[:, 1], v, inv0[:, 0]):
+            vr[:K] = c * gr + np.convolve(ir, gr)[:K]
+            if N > K:
+                r = vr[K:] - np.convolve(ar, vr[:K])[K:N]
+                vr[K:] = c * r + np.convolve(ir[: N - K], r)[: N - K]
+        return u if np.ndim(forcing) == 2 else u[0]
+    M = transform_length(N)
+    # (inverse, g) in one call; g's transform is then the buffer of the
+    # step's later transforms, and the inverse's is read until the last one
+    fw = rfft(w, M)
+    del inv, w
+    fi, fb = fw[:, 0], fw[:, 1]
+    q = irfft(np.multiply(fi, fb, out=fb), M)
+    # g[:K] again, as w is freed
+    np.multiply(gam, F[:, :K], out=lo)
+    np.multiply(inv0, lo, out=lo)
+    np.add(lo, q[:, :K], out=lo)
+    del q
+    fa = rfft(a, M)
+    fp = np.multiply(fa, rfft(lo, M, out=fb), out=fb)
+    del fa
+    p = irfft(fp, M)
+    del fp
+    np.subtract(hi, p[:, K:N], out=hi)
+    del p
+    q = irfft(np.multiply(fi, rfft(hi, M, out=fb), out=fb), M)
+    del fw, fi, fb
+    np.multiply(inv0, hi, out=hi)
+    np.add(hi, q[:, : N - K], out=hi)
     return u if np.ndim(forcing) == 2 else u[0]
+
+
+def _inverse_head(ar, ir, c, b, direct):
+    """One row's inverse ir = 1/a mod z^t, its first term kept 0, for the
+    first b terms and the direct steps (k, t): c = 1/a_0 and ar is a with
+    a_0 kept 0."""
+    # inv_j for 0 < j < b from sum_{i<=j} a_i inv_{j-i} = 0, in Python floats
+    al, iv = ar[:b].tolist(), [0.0] * b
+    for j in range(1, b):
+        s = c * al[j]
+        for i in range(1, j):
+            s += al[i] * iv[j - i]
+        iv[j] = -(c * s)
+    ir[:b] = iv
+    # The inverse is exact mod z^k.  A step to t forms the residual
+    # e = (a inv)[k:t] and sets inv[k:t] = -(inv e) mod z^m, m = t - k <= k.
+    for k, t in direct:
+        m = t - k
+        e = np.convolve(ar[:t], ir[:k])[k:t] + c * ar[k:t]
+        ir[k:t] = -(c * e) - np.convolve(ir[:m], e)[:m]

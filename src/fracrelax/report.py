@@ -142,12 +142,15 @@ class ConvergenceReport:
 def sweep_steps(hs) -> list[float]:
     """The steps a sweep over hs runs: [2*hs[0], *hs], whose extra coarsest
     run, not itself reported, gives the first row its order.  hs must be
-    non-empty and strictly decreasing (ValueError)."""
+    non-empty, strictly decreasing, finite and positive (ValueError)."""
     hs = list(hs)
     if not hs:
         raise ValueError("empty h list")
     if any(not a > b for a, b in zip(hs, hs[1:])):
         raise ValueError("h list must be strictly decreasing")
+    for h in hs:
+        if not (math.isfinite(h) and h > 0.0):
+            raise ValueError(f"steps must be finite and positive, got {h:g}")
     return [2.0 * hs[0], *hs]
 
 

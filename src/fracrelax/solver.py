@@ -77,7 +77,7 @@ def fewest_steps(startup_zeros: int) -> int:
 def solve_with_coefficients(forcing: Callable, coeffs: SchemeCoefficients, n: int,
                             X: float = 1.0) -> UniformGrid:
     """Run the explicit recurrence with an arbitrary coefficient set."""
-    u = _solve_rows(_on_nodes([forcing], np.linspace(0.0, X, n + 1)), [coeffs], n, X, [""])
+    u = _solve_rows([forcing], [coeffs], n, X, [""])
     return UniformGrid(X=X, n=n, values=u[0])
 
 
@@ -94,11 +94,15 @@ def _on_nodes(functions, x: np.ndarray) -> np.ndarray:
 def _solve_rows(F, coeffs, n: int, X: float, labels, weights=None) -> np.ndarray:
     """The (R, n+1) solutions of the R rows of coeffs by one stacked
     _kernels.recurrence call, from F, the rows' forcing on the n+1 nodes of
-    [0, X], and weights, when given, the rows' power weights w_0..w_m, m >= n.
-    The rows share n, X and the startup zeros; an error names the row's label."""
+    [0, X] or the R forcing functions, evaluated there once n is checked, and
+    weights, when given, the rows' power weights w_0..w_m, m >= n.  The rows
+    share n, X and the startup zeros; an error names the row's label."""
     startup_zeros = coeffs[0].startup_zeros
     if n < fewest_steps(startup_zeros):
         raise ValueError(f"n={n} too small for startup_zeros={startup_zeros}")
+    if not isinstance(F, np.ndarray):
+        # the nodes are freed when _on_nodes returns, before the recurrence
+        F = _on_nodes(F, np.linspace(0.0, X, n + 1))
     h = X / n
     wheres = [f" for {label}" if label else "" for label in labels]
     R = len(coeffs)
@@ -161,9 +165,8 @@ def solve(problem, scheme: str, n: int) -> UniformGrid | list[UniformGrid]:
         problems = problem if isinstance(problem, Sequence) else [problem]
         X = _shared_X(problems)
         coeffs = [scheme_coefficients(p.alpha, scheme) for p in problems]
-        # the nodes are freed when _on_nodes returns, before the recurrence
-        F = _on_nodes([p.forcing for p in problems], np.linspace(0.0, X, n + 1))
-        u = _solve_rows(F, coeffs, n, X, [p.label for p in problems])
+        u = _solve_rows([p.forcing for p in problems], coeffs, n, X,
+                        [p.label for p in problems])
     grids = [UniformGrid(X=X, n=n, values=row) for row in u]
     return grids if isinstance(problem, (Tabulation, Sequence)) else grids[0]
 

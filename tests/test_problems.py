@@ -141,6 +141,33 @@ class TestMlProblem:
         with pytest.raises(ValueError, match="within the double range"):
             make_ml_problem(200, 1.9)
 
+    @pytest.mark.parametrize("alpha", [0.3, 0.75, 1.75, 1.94])
+    def test_exact_matches_mpmath_relative_to_y(self, alpha):
+        # The oracle sums the defining form E_a(-x^a) + Gamma(1+2a) x^(3a)
+        # E_{a,1+3a}(-x^a) - 1 + x^a/Gamma(1+a) - x^(2a)/Gamma(1+2a) at 50
+        # digits, where its O(1) terms cancel harmlessly; y is as small as
+        # 1e-23 at x = 1e-4.
+        xs = [1e-4, 1e-3, 1e-2, 0.1, 0.5, 1.0, 2.0]
+        got = make_ml_problem(2, alpha).exact(np.array(xs))
+        with mpmath.workdps(50):
+            a = mpmath.mpf(alpha)
+
+            def ml(beta, z):
+                total, k = mpmath.mpf(0), 0
+                while True:
+                    term = z**k / mpmath.gamma(a * k + beta)
+                    total += term
+                    if k > 3 and abs(term) < mpmath.mpf(10) ** -60:
+                        return total
+                    k += 1
+
+            g2 = mpmath.gamma(1 + 2 * a)
+            for x, y in zip(xs, got):
+                xa = mpmath.mpf(x) ** a
+                want = (ml(1, -xa) + g2 * xa**3 * ml(1 + 3 * a, -xa)
+                        - 1 + xa / mpmath.gamma(1 + a) - xa**2 / g2)
+                assert abs(y - want) <= 1e-14 * abs(want), (x, y, float(want))
+
 
 class TestResidualCheck:
     # every factory instance must satisfy its own integral equation

@@ -62,6 +62,21 @@ class TestAssembly:
         with pytest.raises(ValueError, match=message):
             sweep([1.0] * (len(hs) + 1), hs, label="demo", scheme="A", alpha=0.5)
 
+    @pytest.mark.parametrize("hs,bad", [
+        ([0.1, 0.0], "0"),
+        ([0.1, -0.1], "-0.1"),
+        ([-0.1], "-0.1"),
+        ([float("inf"), 0.1], "inf"),
+        ([float("nan")], "nan"),
+    ])
+    def test_steps_not_finite_and_positive_are_refused(self, hs, bad):
+        with pytest.raises(ValueError, match=f"steps must be finite and positive, got {bad}$"):
+            sweep_steps(hs)
+
+    def test_order_is_checked_before_sign(self):
+        with pytest.raises(ValueError, match="strictly decreasing"):
+            sweep_steps([0.0, 0.1])
+
     @pytest.mark.parametrize("bad", [0.0, float("nan"), float("inf")])
     @pytest.mark.parametrize("at", [0, 1, 2])
     def test_error_without_an_order_names_its_step(self, bad, at):

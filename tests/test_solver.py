@@ -74,6 +74,15 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve(prob, "A4", 3)
 
+    @pytest.mark.parametrize("n", [-2, -1, 0, 1])
+    def test_n_is_checked_before_the_forcing_is_evaluated(self, n):
+        prob = make_power_problem(4.0, 0.5)
+        message = f"n={n} too small for startup_zeros=0"
+        with pytest.raises(ValueError, match=message):
+            solve(prob, "A", n)
+        with pytest.raises(ValueError, match=message):
+            solve_with_coefficients(prob.forcing, scheme_coefficients(0.5, "A"), n)
+
     def test_degenerate_denominator(self):
         # force Gamma(alpha) + c_0 h^alpha = 0
         alpha, n = 0.5, 16
@@ -195,6 +204,11 @@ class TestConvergenceSweep:
     @pytest.mark.parametrize("hs", [[], (0.1, 0.1), [0.05, 0.1]])
     def test_empty_or_not_decreasing_steps_are_refused(self, hs):
         with pytest.raises(ValueError, match="empty h list|strictly decreasing"):
+            convergence_sweep(make_power_problem(4, 0.5), "A", hs, label="x", alpha=0.5)
+
+    @pytest.mark.parametrize("hs", [[0.1, 0.0], [0.1, -0.1], [float("inf"), 0.1]])
+    def test_steps_not_finite_and_positive_are_refused(self, hs):
+        with pytest.raises(ValueError, match="steps must be finite and positive"):
             convergence_sweep(make_power_problem(4, 0.5), "A", hs, label="x", alpha=0.5)
 
 
