@@ -100,7 +100,8 @@ def recurrence(
     gamma_alpha: float | np.ndarray,
     h_alpha: float | np.ndarray,
 ) -> np.ndarray:
-    """Scheme solution u_0..u_n with u_0 = ... = u_{startup_zeros} = 0.
+    """Scheme solution u_0..u_n with u_0 = ... = u_{startup_zeros} = 0, for
+    n > startup_zeros (solver._solve_rows refuses fewer steps).
 
     forcing: F_0..F_n; weights[k] = k^(alpha-1) (weights[0] unused); corr
     (possibly empty) holds c_0, c_1, ...: c_0 enters the denominator, c_j
@@ -122,8 +123,6 @@ def recurrence(
     first = startup_zeros + 1
     N = n1 - first
     u = np.zeros((R, n1))
-    if N <= 0:
-        return u if np.ndim(forcing) == 2 else u[0]
     a = ha * np.atleast_2d(weights)[:, :N]
     a[:, 0] = gam[:, 0]
     nc = min(corr.shape[1], N)

@@ -21,10 +21,8 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import os
 import sys
-from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +30,7 @@ import numpy as np
 from .fracint import STARTUP_ZEROS, alpha_in_range
 from .problems import PROBLEM_KINDS, make_problem
 from .report import sweep_steps
-from .solver import convergence_sweep, fewest_steps, solve, tabulate
+from .solver import check_coarsest_run, convergence_sweep, solve, tabulate
 from .tables import TABLE_IDS, check_table
 
 __all__ = ["main", "console_main", "build_parser", "emit_solution_curve"]
@@ -87,31 +85,21 @@ def _parse_h_list(spec: str) -> list[float]:
     return hs
 
 
-def _check_step(h: float, X: float, schemes: Sequence[str] = (), sweep: bool = False) -> None:
-    """Refuse a step that is not finite and positive, whose run on [0, X]
-    would take more than MAX_STEPS steps, or whose coarsest run takes fewer
-    steps than one of the schemes needs.  A sweep's coarsest run is the
-    first of report.sweep_steps([h]), a curve's is at h."""
-    if not (math.isfinite(h) and h > 0.0):
-        raise ValueError(f"steps must be finite and positive, got {h:g}")
+def _check_step(h: float, X: float) -> None:
+    """Refuse a step whose run on [0, X] would take more than MAX_STEPS
+    steps, before anything is allocated for it; report.sweep_steps refuses
+    one that is not finite and positive."""
+    sweep_steps([h])
     if X / h > MAX_STEPS:
         raise ValueError(f"step {h:g} takes {X / h:.3g} steps on [0, {X:g}], "
                          f"more than {MAX_STEPS}")
-    if not schemes:
-        return
-    tag = max(schemes, key=STARTUP_ZEROS.__getitem__)
-    need = fewest_steps(STARTUP_ZEROS[tag])
-    coarsest = sweep_steps([h])[0] if sweep else h
-    n = round(X / coarsest)
-    if n < need:
-        run = f"a sweep's first run, at 2h = {coarsest:g}, takes" if sweep else "it takes"
-        raise ValueError(f"step {h:g} is too coarse for [0, {X:g}]: {run} {n} "
-                         f"step{'' if n == 1 else 's'}, "
-                         f"and scheme {tag} needs at least {need}")
 
 
 def emit_solution_curve(problem, schemes: list[str], h: float) -> str:
-    """CSV with columns x, exact and one numerical-solution column per scheme."""
+    """CSV with columns x, exact and one numerical-solution column per
+    scheme.  solver.check_coarsest_run refuses a step or a scheme tag the
+    run cannot use before anything is evaluated."""
+    check_coarsest_run(problem.X, schemes, h)
     n = round(problem.X / h)
     x = np.linspace(0.0, problem.X, n + 1)
     tab = tabulate([problem], [n])
@@ -241,14 +229,11 @@ def main(argv: list[str] | None = None) -> int:
                                              f"with 1 - alpha != 1, got {args.alpha:g}")
     if not args.X > 0.0:
         _command_error(parser, args.command, f"--X must be positive, got {args.X:g}")
-    if not (math.isfinite(args.X) and math.isfinite(args.p)):
-        raise ValueError(f"--X and --p must be finite, got {args.X:g} and {args.p:g}")
 
     if args.command == "sweep":
         hs = _parse_h_list(args.h_list)
         for h in hs:
             _check_step(h, args.X)
-        _check_step(hs[0], args.X, [args.scheme], sweep=True)
         problem = _make_problem(args)
         report = convergence_sweep(problem, args.scheme, hs, label=problem.label,
                                    alpha=problem.alpha)
@@ -260,16 +245,18 @@ def main(argv: list[str] | None = None) -> int:
     for tag in schemes:
         if tag not in STARTUP_ZEROS:
             _command_error(parser, "curve", f"unknown scheme tag {tag!r}")
-    _check_step(args.h, args.X, schemes)
+    _check_step(args.h, args.X)
     _emit(emit_solution_curve(_make_problem(args), schemes, args.h), out)
     return 0
 
 
 def console_main(argv: list[str] | None = None) -> int:
     """The ``fracrelax`` command: ``main``, with a ``ValueError`` (a malformed
-    preset or h list, an infinite X or p, a step that is not finite and
-    positive, takes more than MAX_STEPS steps or too few for the scheme, a
-    Mittag-Leffler value that cannot be resolved) or an
+    preset or h list, a step that takes more than MAX_STEPS steps, which
+    _check_step refuses, or one that the library refuses: not finite and
+    positive, or too coarse for the scheme (solver.check_coarsest_run); a
+    problem that its factory refuses, such as a power problem with a p that
+    is not finite; a Mittag-Leffler value that cannot be resolved) or an
     ``OSError`` (a preset or --out path that cannot be read or written)
     reported as one line and exit code 2, as for bad arguments, instead of a
     traceback.  ``main`` itself lets them propagate.  The Mittag-Leffler

@@ -91,9 +91,11 @@ class EndpointDerivatives(NamedTuple):
 
 
 def power_weights(alpha: float, n: int) -> np.ndarray:
-    """Weights w_k = k^(alpha-1) for k = 0..n (w_0 set to 0)."""
+    """Weights w_k = k^(alpha-1) for k = 0..n (w_0 set to 0).  A weight past
+    the double range, for an alpha no scheme takes (alpha_in_range), is inf,
+    without a warning."""
     w = np.arange(n + 1, dtype=float)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         w = w ** (alpha - 1.0)
     w[0] = 0.0
     return w
@@ -205,11 +207,17 @@ def _correction_weights(alpha: float, k: int) -> tuple[float, ...]:
                  for l in range(k))
 
 
+def _startup_zeros(order_tag: str) -> int:
+    """STARTUP_ZEROS[order_tag], with a tag not in ORDER_TAGS refused."""
+    if order_tag not in ORDER_TAGS:
+        raise ValueError(f"order_tag must be one of {ORDER_TAGS}")
+    return STARTUP_ZEROS[order_tag]
+
+
 def scheme_coefficients(alpha: float, order_tag: str) -> SchemeCoefficients:
     """Correction weights for the approximation of order alpha + k, k the tag
     index, from the expansion's first k terms (see SchemeCoefficients)."""
-    if order_tag not in ORDER_TAGS:
-        raise ValueError(f"order_tag must be one of {ORDER_TAGS}")
+    _startup_zeros(order_tag)
     if not alpha_in_range(alpha):
         raise ValueError("alpha must lie in (0,1) or (1,2), with 1 - alpha != 1")
     c = _correction_weights(alpha, ORDER_TAGS.index(order_tag))

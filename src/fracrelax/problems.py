@@ -56,10 +56,18 @@ class BenchmarkProblem:
 _EXP_X_MAX = math.log(sys.float_info.max) - 1.0
 
 
+def _require_finite_positive(kind: str, **values: float) -> None:
+    """Refuse any of the kind's named values that is not finite and positive."""
+    for name, value in values.items():
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{kind} problem requires a finite positive {name}, got {value:g}")
+
+
 def make_power_problem(p: float, alpha: float, X: float = 1.0) -> BenchmarkProblem:
     """y = x^p, F = x^p + Gamma(p+1)/Gamma(p+alpha+1) x^(p+alpha)."""
     if p <= 0.0:
         raise ValueError("power problem requires p > 0")
+    _require_finite_positive("power", p=p, alpha=alpha, X=X)
     try:
         coef = power_rule_coefficient(p, alpha)
     except OverflowError:
@@ -94,6 +102,7 @@ def make_exp_problem(m: int, alpha: float, X: float = 1.0) -> BenchmarkProblem:
             f"exp problem requires X <= {_EXP_X_MAX:.2f}, got {X:g}: "
             "its forcing overflows a double"
         )
+    _require_finite_positive("exp", alpha=alpha, X=X)
 
     def exact(x):
         x = np.asarray(x, dtype=float)
@@ -130,16 +139,17 @@ def make_ml_problem(m: int, alpha: float, X: float = 1.0) -> BenchmarkProblem:
     """
     if m < 2:
         raise ValueError("ml problem requires m >= 2")
-    g2 = gamma(1.0 + 2.0 * alpha)
-    if abs(g2 - 1.0) < 1e-8:
-        raise ValueError(f"ml problem's forcing is 0: Gamma(1+2*alpha) = 1 at alpha={alpha:g}")
+    _require_finite_positive("ml", alpha=alpha, X=X)
     try:
+        g2 = gamma(1.0 + 2.0 * alpha)
         fcoef = (-1.0) ** m * (g2 - 1.0) / gamma(1.0 + (m + 1.0) * alpha)
     except OverflowError:
         raise ValueError(
             f"ml problem requires Gamma(1 + (m+1)*alpha) within the double range, "
             f"got m={m}, alpha={alpha:g}"
         ) from None
+    if abs(g2 - 1.0) < 1e-8:
+        raise ValueError(f"ml problem's forcing is 0: Gamma(1+2*alpha) = 1 at alpha={alpha:g}")
 
     def forcing(x):
         x = np.asarray(x, dtype=float)

@@ -16,6 +16,11 @@ is max_error's against the tabulated exact values.  The union is built
 without np.unique, whose first use imports numpy.ma, about 10 ms of every
 fresh process.
 
+check_coarsest_run is the one place that decides whether a run takes the
+steps its scheme needs.  convergence_sweep calls it before tabulate
+evaluates anything, for the sweep's coarsest run at 2h, and
+cli.emit_solution_curve for its run at h.
+
 solve and convergence_sweep also take a sequence of problems on the same
 [0, X], such as a table's columns.  Each run then solves all of them in one
 stacked recurrence, and each problem's grid or report equals the one it gets
@@ -34,6 +39,7 @@ from .fracint import (
     STARTUP_ZEROS,
     SchemeCoefficients,
     UniformGrid,
+    _startup_zeros,
     power_weights,
     scheme_coefficients,
 )
@@ -45,6 +51,7 @@ __all__ = [
     "solve",
     "solve_with_coefficients",
     "fewest_steps",
+    "check_coarsest_run",
     "max_error",
     "Tabulation",
     "tabulate",
@@ -72,6 +79,26 @@ def fewest_steps(startup_zeros: int) -> int:
     """The fewest steps n a run of a scheme with that many prescribed zero
     startup values takes."""
     return startup_zeros + 2
+
+
+def check_coarsest_run(X: float, tags: Sequence[str], h: float, sweep: bool = False) -> None:
+    """Refuse a step h whose coarsest run on [0, X] takes fewer steps than the
+    most demanding scheme of tags needs (fewest_steps), naming it.  A
+    sweep's coarsest run is the first of report.sweep_steps([h]), at 2h, a
+    single run's is at h.  sweep_steps refuses an h that is not finite and
+    positive, and scheme_coefficients' check an unknown tag; every refusal
+    is a ValueError, raised before anything is evaluated."""
+    coarsest = sweep_steps([h])[0 if sweep else 1]
+    n = round(X / coarsest)
+    # most demanding first, so that a refusal names it; the key refuses an
+    # unknown tag
+    for tag in sorted(tags, key=_startup_zeros, reverse=True):
+        need = fewest_steps(STARTUP_ZEROS[tag])
+        if n < need:
+            run = f"a sweep's first run, at 2h = {coarsest:g}, takes" if sweep else "it takes"
+            raise ValueError(f"step {h:g} is too coarse for [0, {X:g}]: {run} {n} "
+                             f"step{'' if n == 1 else 's'}, "
+                             f"and scheme {tag} needs at least {need}")
 
 
 def solve_with_coefficients(forcing: Callable, coeffs: SchemeCoefficients, n: int,
@@ -252,6 +279,7 @@ def convergence_sweep(problem, tag: str, hs,
     fields = [report_fields] if single else [
         {k: v[i] for k, v in report_fields.items()} for i in range(len(problems))]
     ns = [round(problems[0].X / h) for h in sweep_steps(hs)]
+    check_coarsest_run(problems[0].X, [tag], hs[0], sweep=True)
     tab = tabulate(problems, ns)
     skip = STARTUP_ZEROS[tag]
     runs = []  # runs[j][i]: problem i's error at the run of ns[j] steps

@@ -93,10 +93,14 @@ class ConvergenceError(SpecialFunctionError):
 # ---------------------------------------------------------------------------
 
 def gamma(x: float) -> float:
-    """Gamma function for real x, poles excluded."""
+    """Gamma function for real x, poles excluded; OverflowError past the
+    double range, from x = 171.62 on."""
     if x <= 0.0 and x == math.floor(x):
         raise PoleError(f"gamma pole at x={x}")
-    return math.gamma(x)
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        raise OverflowError(f"gamma({x:g}) overflows a double") from None
 
 
 # gamma_ratio takes Stirling's series once an argument reaches this; its
@@ -132,7 +136,7 @@ def power_rule_coefficient(p: float, alpha: float) -> float:
 
 def _gamma_ratio(a: float, b: float, d: float) -> float:
     """Gamma(a)/Gamma(b), given d = a - b (exact for the series' log1p)."""
-    if a <= 0.0 or b <= 0.0:
+    if not (a > 0.0 and b > 0.0):
         raise ValueError("gamma_ratio requires a > 0 and b > 0")
     if max(a, b) < _STIRLING_MIN or max(a, b) == math.inf:
         return math.exp(math.lgamma(a) - math.lgamma(b))
@@ -146,6 +150,8 @@ def _gamma_ratio(a: float, b: float, d: float) -> float:
     # (a - 1/2) log a - (b - 1/2) log b - d, with log a = log b + log(a/b)
     log_ab = math.log1p(d / b) if abs(d) < 0.5 * b else math.log(a / b)
     log_ratio += d * (math.log(b) - 1.0) + (a - 0.5) * log_ab
+    if log_ratio == math.inf:
+        raise OverflowError("gamma_ratio overflows a double")
     ra, rb = 1.0 / (a * a), 1.0 / (b * b)
     ta = tb = 0.0
     for c in reversed(_STIRLING_COEF):
@@ -202,15 +208,17 @@ def zeta(s: float) -> float:
 
     Raises SpecialFunctionError for s = nan and where |zeta(s)| passes the
     largest double, first at s = -260.17 (the trivial zeros below it stay 0);
-    zeta(inf) is 1.
+    zeta(s) is 1 for s > 64, zeta(inf) included.
     """
     if s == 1.0:
         raise PoleError("zeta pole at s=1")
     if math.isnan(s):
         raise SpecialFunctionError("zeta is undefined at s=nan")
-    if math.isinf(s):
-        if s > 0.0:
-            return 1.0
+    if s > 64.0:
+        # 1 + 2^-s + ... rounds to 1 from s = 54 on; the Euler-Maclaurin
+        # terms would take inf * 0 from s = 1e28
+        return 1.0
+    if s == -math.inf:
         raise SpecialFunctionError("zeta(-inf) overflows a double")
     if s < -0.5:
         # functional equation: zeta(s) = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s) zeta(1-s),

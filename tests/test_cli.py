@@ -7,13 +7,14 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from fracrelax import cli
+from fracrelax import cli, solver
 from fracrelax.problems import make_exp_problem, make_power_problem
 from fracrelax.solver import convergence_sweep, solve
 from fracrelax.tables import TABLE_IDS
@@ -339,9 +340,19 @@ class TestParser:
                                            f"unrecognized arguments: --bogus\n")
 
 
+def forbid_tabulation(monkeypatch):
+    """Make a sweep's or a curve's tabulation of the problem fail the test."""
+    def unreachable(problems, ns):
+        raise AssertionError("problem tabulated before its input was checked")
+
+    monkeypatch.setattr(solver, "tabulate", unreachable)
+    monkeypatch.setattr(cli, "tabulate", unreachable)
+
+
 class TestRejectedStepsAndSizes:
     """A step or size the runs cannot use exits 2 with one error line before
-    any problem is built."""
+    any problem is built, and one the problem or the solver refuses before
+    it is tabulated."""
 
     @pytest.mark.parametrize("argv", [
         ("curve", "--h", "0"),
@@ -356,7 +367,11 @@ class TestRejectedStepsAndSizes:
         def unreachable(args):
             raise AssertionError("problem built before its input was checked")
 
-        monkeypatch.setattr(cli, "_make_problem", unreachable)
+        if argv == ("sweep", "--p", "inf"):
+            # the power problem's own refusal
+            forbid_tabulation(monkeypatch)
+        else:
+            monkeypatch.setattr(cli, "_make_problem", unreachable)
         assert cli.console_main(list(argv)) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1
@@ -381,10 +396,7 @@ class TestRejectedStepsAndSizes:
     ], ids=lambda case: " ".join(case[0]))
     def test_too_coarse_step_exits_2_with_one_line(self, capsys, monkeypatch, case):
         argv, message = case
-        def unreachable(args):
-            raise AssertionError("problem built before its step was checked")
-
-        monkeypatch.setattr(cli, "_make_problem", unreachable)
+        forbid_tabulation(monkeypatch)
         assert cli.console_main(list(argv)) == 2
         assert capsys.readouterr().err == f"fracrelax: error: {message}\n"
 
@@ -555,6 +567,29 @@ class TestCurve:
         code, out, _ = run_cli(capsys, "curve", "--preset", str(preset))
         assert code == 0
         assert out.splitlines()[0] == "x,exact,u_A,u_A1"
+
+    @pytest.mark.parametrize("schemes,h,message", [
+        (["A"], 0.0, "steps must be finite and positive, got 0"),
+        (["A"], math.nan, "steps must be finite and positive, got nan"),
+        (["A"], -0.1, "steps must be finite and positive, got -0.1"),
+        (["A"], 0.7, "step 0.7 is too coarse for [0, 1]: it takes 1 step, "
+                     "and scheme A needs at least 2"),
+        (["A1", "A4", "A3"], 0.4, "step 0.4 is too coarse for [0, 1]: it takes 2 steps, "
+                                  "and scheme A4 needs at least 4"),
+        (["A", "A9"], 0.1, "order_tag must be one of ('A', 'A1', 'A2', 'A3', 'A4')"),
+    ])
+    def test_library_refuses_before_anything_is_evaluated(self, schemes, h, message):
+        def unreachable(x):
+            raise AssertionError("evaluated before the step and the schemes were checked")
+
+        problem = dataclasses.replace(make_power_problem(4, 0.5), forcing=unreachable,
+                                      exact=unreachable)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cli.emit_solution_curve(problem, schemes, h)
+
+    def test_no_scheme_gives_the_exact_solution_alone(self):
+        lines = cli.emit_solution_curve(make_power_problem(4, 0.5), [], 0.5).splitlines()
+        assert [len(line.split(",")) for line in lines[1:]] == [2, 2, 2]
 
     def test_unknown_scheme_rejected(self, capsys):
         with pytest.raises(SystemExit):

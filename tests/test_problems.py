@@ -7,6 +7,7 @@ domain `fracrelax sweep` accepts, by the decay of their quadrature residual
 
 import dataclasses
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -28,6 +29,24 @@ from fracrelax.specfun import gamma
 
 
 class TestMakeProblem:
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["alpha", "X"])
+    @pytest.mark.parametrize("kind,param", [("power", 4.0), ("exp", 2), ("ml", 2)])
+    def test_alpha_and_X_not_finite_and_positive_are_refused(self, monkeypatch, kind, param,
+                                                             name, value):
+        def unreachable(*args):
+            raise AssertionError("computed before alpha and X were checked")
+
+        for f in ("gamma", "power_rule_coefficient"):
+            monkeypatch.setattr(problems, f, unreachable)
+        args = {"alpha": 0.7, "X": 1.0, name: value}
+        # an infinite X keeps the exp problem's own refusal, which comes first
+        message = f"{kind} problem requires a finite positive {name}, got {value:g}"
+        if (kind, name, value) == ("exp", "X", math.inf):
+            message = "exp problem requires X <= 708.78"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            make_problem(kind, param, args["alpha"], X=args["X"])
+
     @pytest.mark.parametrize("kind,factory,param", [
         ("power", make_power_problem, 4.0),
         ("exp", make_exp_problem, 2),
@@ -81,6 +100,17 @@ class TestPowerProblem:
     def test_validation(self):
         with pytest.raises(ValueError):
             make_power_problem(0.0, 0.5)
+
+    @pytest.mark.parametrize("p", [math.inf, math.nan])
+    def test_p_not_finite_is_refused(self, p):
+        with pytest.raises(ValueError, match=f"^power problem requires a finite positive p, "
+                                             f"got {p}$"):
+            make_power_problem(p, 0.5)
+
+    def test_coefficient_past_the_double_range_is_refused(self):
+        # lgamma(1.7e308) overflows, and p + alpha + 1 is inf
+        with pytest.raises(ValueError, match="leaves the double range at p=1.7e"):
+            make_power_problem(1.7e308, 1.7e308)
 
 
 class TestExpProblem:

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from fracrelax.solver import (
     DegenerateDenominatorError,
     NodeNotTabulatedError,
     NonFiniteSolutionError,
+    StabilityConstants,
     claim5_partial_sum_check,
     claim8_window_check,
     convergence_sweep,
@@ -211,6 +213,25 @@ class TestConvergenceSweep:
         with pytest.raises(ValueError, match="steps must be finite and positive"):
             convergence_sweep(make_power_problem(4, 0.5), "A", hs, label="x", alpha=0.5)
 
+    @pytest.mark.parametrize("tag,hs,message", [
+        ("A4", [0.5], "step 0.5 is too coarse for [0, 1]: a sweep's first run, at 2h = 1, "
+                      "takes 1 step, and scheme A4 needs at least 4"),
+        ("A3", [0.3, 0.2], "step 0.3 is too coarse for [0, 1]: a sweep's first run, at "
+                           "2h = 0.6, takes 2 steps, and scheme A3 needs at least 3"),
+        ("A9", [0.1], "order_tag must be one of ('A', 'A1', 'A2', 'A3', 'A4')"),
+        ("A", [0.1, 0.0], "steps must be finite and positive, got 0"),
+    ])
+    def test_refused_before_anything_is_evaluated(self, tag, hs, message):
+        def unreachable(x):
+            raise AssertionError("evaluated before the steps and the scheme were checked")
+
+        problem = dataclasses.replace(make_power_problem(4, 0.5), forcing=unreachable,
+                                      exact=unreachable)
+        for p, fields in ((problem, {"label": "x", "alpha": 0.5}),
+                          ([problem, problem], {"label": ["x", "y"], "alpha": [0.5, 0.5]})):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                convergence_sweep(p, tag, hs, **fields)
+
 
 class TestTabulation:
     # nested steps, as a table's sweep takes, and non-nested ones
@@ -299,6 +320,19 @@ class TestStabilityBounds:
             theorem6_bound(1.5, -1.0)
         with pytest.raises(ValueError):
             theorem11_constants(1.5, 1.0)
+        for A in (0.0, -1.0):
+            with pytest.raises(ValueError, match="A must be positive"):
+                theorem11_constants(0.5, A)
+
+    @pytest.mark.parametrize("C0,C1,C2,message", [
+        (0.0, 1.0, 2.0, "C0 must be positive"),
+        (-1.0, 1.0, 2.0, "C0 must be positive"),
+        (1.0, 2.0, 2.0, r"C2 must exceed max\(C0, C1\)"),
+        (3.0, 1.0, 2.0, r"C2 must exceed max\(C0, C1\)"),
+    ])
+    def test_constants_out_of_order_are_refused(self, C0, C1, C2, message):
+        with pytest.raises(ValueError, match=message):
+            StabilityConstants(0.5, 1.0, C0, C1, C2)
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
     def test_bound_shape_relaxation(self, alpha):
