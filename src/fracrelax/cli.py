@@ -11,6 +11,10 @@ Subcommands:
 * curve: emit x, exact solution and per-scheme numerical solution columns as
   CSV, suitable for any plotting tool.
 
+The CLI has no step rule of its own: main hands a sweep's or a curve's
+steps to solver.plan_runs, which refuses any the runs cannot use, before a
+problem is built.
+
 Relative --out paths are resolved against FRACRELAX_OUT_DIR when that
 environment variable is set.  A preset file (plain key=value lines, '#'
 comments) can seed any sweep/curve option: each key the command has is parsed
@@ -25,20 +29,14 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .fracint import STARTUP_ZEROS, alpha_in_range
 from .problems import PROBLEM_KINDS, make_problem
-from .report import sweep_steps
-from .solver import check_coarsest_run, convergence_sweep, solve, tabulate
+from .solver import convergence_sweep, plan_runs, solve, tabulate
 from .tables import TABLE_IDS, check_table
 
 __all__ = ["main", "console_main", "build_parser", "emit_solution_curve"]
 
 _DEFAULT_H = "0.025,0.0125,0.00625,0.003125"
-# the most steps n = X/h one sweep or curve run may take (the README's largest
-# documented solve, about 0.4 s)
-MAX_STEPS = 2**20
 
 
 def _load_preset(path: str) -> dict[str, str]:
@@ -77,39 +75,17 @@ def _make_problem(args) -> object:
     return make_problem(args.problem, param, args.alpha, X=args.X)
 
 
-def _parse_h_list(spec: str) -> list[float]:
-    """The steps of --h-list; sweep_steps refuses an empty or not strictly
-    decreasing list."""
-    hs = [float(tok) for tok in spec.replace(";", ",").split(",") if tok.strip()]
-    sweep_steps(hs)
-    return hs
-
-
-def _check_step(h: float, X: float) -> None:
-    """Refuse a step whose run on [0, X] would take more than MAX_STEPS
-    steps, before anything is allocated for it; report.sweep_steps refuses
-    one that is not finite and positive."""
-    sweep_steps([h])
-    if X / h > MAX_STEPS:
-        raise ValueError(f"step {h:g} takes {X / h:.3g} steps on [0, {X:g}], "
-                         f"more than {MAX_STEPS}")
-
-
 def emit_solution_curve(problem, schemes: list[str], h: float) -> str:
     """CSV with columns x, exact and one numerical-solution column per
-    scheme.  solver.check_coarsest_run refuses a step or a scheme tag the
-    run cannot use before anything is evaluated."""
-    check_coarsest_run(problem.X, schemes, h)
-    n = round(problem.X / h)
-    x = np.linspace(0.0, problem.X, n + 1)
+    scheme.  solver.plan_runs gives the run's n, and refuses a step or a
+    scheme tag the run cannot use before anything is evaluated."""
+    [n] = plan_runs(problem.X, schemes, [h])
     tab = tabulate([problem], [n])
-    cols = [tab.exact[0, tab.index[n]]]
-    for tag in schemes:
-        cols.append(solve(tab, tag, n)[0].values)
-    header = "x,exact," + ",".join(f"u_{tag}" for tag in schemes)
-    lines = [header]
-    for i in range(n + 1):
-        lines.append(f"{x[i]:.10g}," + ",".join(f"{c[i]:.10e}" for c in cols))
+    idx = tab.index[n]
+    cols = [tab.exact[0, idx], *(solve(tab, tag, n)[0].values for tag in schemes)]
+    lines = ["x,exact," + ",".join(f"u_{tag}" for tag in schemes)]
+    for x, *row in zip(tab.x[idx], *cols):
+        lines.append(f"{x:.10g}," + ",".join(f"{v:.10e}" for v in row))
     return "\n".join(lines) + "\n"
 
 
@@ -231,39 +207,39 @@ def main(argv: list[str] | None = None) -> int:
         _command_error(parser, args.command, f"--X must be positive, got {args.X:g}")
 
     if args.command == "sweep":
-        hs = _parse_h_list(args.h_list)
-        for h in hs:
-            _check_step(h, args.X)
-        problem = _make_problem(args)
+        tags = [args.scheme]
+        hs = [float(tok) for tok in args.h_list.replace(";", ",").split(",") if tok.strip()]
+    else:
+        tags, hs = [tok.strip() for tok in args.scheme.split(",")], [args.h]
+        for tag in tags:
+            if tag not in STARTUP_ZEROS:
+                _command_error(parser, "curve", f"unknown scheme tag {tag!r}")
+    # a step the runs cannot use is refused before a problem is built
+    plan_runs(args.X, tags, hs, sweep=args.command == "sweep")
+    problem = _make_problem(args)
+    if args.command == "sweep":
         report = convergence_sweep(problem, args.scheme, hs, label=problem.label,
                                    alpha=problem.alpha)
         _emit(report.render(args.format), out)
-        return 0
-
-    # curve
-    schemes = [tok.strip() for tok in args.scheme.split(",")]
-    for tag in schemes:
-        if tag not in STARTUP_ZEROS:
-            _command_error(parser, "curve", f"unknown scheme tag {tag!r}")
-    _check_step(args.h, args.X)
-    _emit(emit_solution_curve(_make_problem(args), schemes, args.h), out)
+    else:
+        _emit(emit_solution_curve(problem, tags, args.h), out)
     return 0
 
 
 def console_main(argv: list[str] | None = None) -> int:
     """The ``fracrelax`` command: ``main``, with a ``ValueError`` (a malformed
-    preset or h list, a step that takes more than MAX_STEPS steps, which
-    _check_step refuses, or one that the library refuses: not finite and
-    positive, or too coarse for the scheme (solver.check_coarsest_run); a
-    problem that its factory refuses, such as a power problem with a p that
-    is not finite; a Mittag-Leffler value that cannot be resolved) or an
-    ``OSError`` (a preset or --out path that cannot be read or written)
-    reported as one line and exit code 2, as for bad arguments, instead of a
-    traceback.  ``main`` itself lets them propagate.  The Mittag-Leffler
-    arguments of the ml problems (-x^alpha) and of the exp forcing (x) are
-    resolved for every accepted alpha and X (the contour takes those past
-    the series' reach); the exp problem refuses an X whose forcing would
-    overflow before any is computed."""
+    preset or h list; a step that solver.plan_runs refuses: not finite and
+    positive, taking more than solver.MAX_STEPS steps, or too coarse for the
+    scheme; a problem that its factory refuses, such as a power problem with
+    a p that is not finite; a Mittag-Leffler value that cannot be resolved)
+    or an ``OSError`` (a preset or --out path that cannot be read or
+    written) reported as one line and exit code 2, as for bad arguments,
+    instead of a traceback.  ``main`` itself lets them propagate.  The
+    Mittag-Leffler arguments of the ml problems (-x^alpha) and of the exp
+    forcing (x) are resolved for every accepted alpha and X (the contour
+    takes those past the series' reach); the exp problem refuses an X whose
+    forcing would overflow, and an alpha whose forcing's Gamma(m+1+alpha)
+    would, before any is computed."""
     try:
         return main(argv)
     except (ValueError, OSError) as exc:

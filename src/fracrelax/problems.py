@@ -103,6 +103,11 @@ def make_exp_problem(m: int, alpha: float, X: float = 1.0) -> BenchmarkProblem:
             "its forcing overflows a double"
         )
     _require_finite_positive("exp", alpha=alpha, X=X)
+    try:
+        gammas = [gamma(k + 1.0 + alpha) for k in range(m + 1)]
+    except OverflowError:
+        raise ValueError(f"exp problem requires Gamma(m+1+alpha) within the double range, "
+                         f"got m={m}, alpha={alpha:g}") from None
 
     def exact(x):
         x = np.asarray(x, dtype=float)
@@ -115,7 +120,7 @@ def make_exp_problem(m: int, alpha: float, X: float = 1.0) -> BenchmarkProblem:
         x = np.asarray(x, dtype=float)
         out = np.exp(x) + x**alpha * mittag_leffler(1.0, 1.0 + alpha, x)
         for k in range(m + 1):
-            out = out - x ** (k + alpha) / gamma(k + 1.0 + alpha) - x**k / math.factorial(k)
+            out = out - x ** (k + alpha) / gammas[k] - x**k / math.factorial(k)
         return out
 
     return BenchmarkProblem(

@@ -1,8 +1,9 @@
 """Convergence reports: rows of (h, max error, empirical order) with optional
 reference columns, rendered as CSV, Markdown or JSON.
 
-sweep_steps plans a sweep's runs, and sweep forms each row's order from the
-errors and steps of the row's run and the next coarser one.
+sweep_steps lists a sweep's steps, which solver.plan_runs turns into run
+sizes, and sweep forms each row's order from the errors and steps of the
+row's run and the next coarser one.
 
 Numeric output is deterministic; the timestamp lives in the metadata block
 (comment lines in CSV, a field in JSON) and is the only run-dependent value.
@@ -16,7 +17,8 @@ from typing import NamedTuple
 
 from . import __version__
 
-__all__ = ["ConvergenceRow", "ConvergenceReport", "empirical_order", "sweep_steps", "sweep"]
+__all__ = ["ConvergenceRow", "ConvergenceReport", "empirical_order", "check_steps",
+           "sweep_steps", "sweep"]
 
 
 def empirical_order(err_coarse: float, err_fine: float,
@@ -115,16 +117,7 @@ class ConvergenceReport:
         obj = {
             **dict(self._meta_items()),
             "alpha": self.alpha,
-            "rows": [
-                {
-                    "h": r.h,
-                    "max_error": r.max_error,
-                    "order": r.order,
-                    "expected_error": r.expected_error,
-                    "expected_order": r.expected_order,
-                }
-                for r in self.rows
-            ],
+            "rows": [r._asdict() for r in self.rows],
         }
         return json.dumps(obj, indent=2) + "\n"
 
@@ -139,10 +132,10 @@ class ConvergenceReport:
         raise ValueError(f"unknown format {fmt!r}")
 
 
-def sweep_steps(hs) -> list[float]:
-    """The steps a sweep over hs runs: [2*hs[0], *hs], whose extra coarsest
-    run, not itself reported, gives the first row its order.  hs must be
-    non-empty, strictly decreasing, finite and positive (ValueError)."""
+def check_steps(hs) -> list[float]:
+    """hs, the steps of runs of their own, coarsest first, as a list;
+    refused (ValueError) when it is empty, not strictly decreasing, or holds
+    a step that is not finite and positive."""
     hs = list(hs)
     if not hs:
         raise ValueError("empty h list")
@@ -151,6 +144,17 @@ def sweep_steps(hs) -> list[float]:
     for h in hs:
         if not (math.isfinite(h) and h > 0.0):
             raise ValueError(f"steps must be finite and positive, got {h:g}")
+    return hs
+
+
+def sweep_steps(hs) -> list[float]:
+    """The steps a sweep over hs runs: [2*hs[0], *hs], whose extra coarsest
+    run, not itself reported, gives the first row its order.  hs must pass
+    check_steps, and 2*hs[0] must be finite (ValueError)."""
+    hs = check_steps(hs)
+    if not 2.0 * hs[0] < math.inf:
+        raise ValueError(f"step {hs[0]:g} is too large for a sweep: its first run, "
+                         "at 2h, leaves the double range")
     return [2.0 * hs[0], *hs]
 
 

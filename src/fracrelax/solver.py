@@ -6,7 +6,7 @@ orders alpha, 1+alpha, 2+alpha, 3+alpha, 4+alpha.  Each is the same explicit
 causal recurrence with its own end-correction weights, a lower-triangular
 Toeplitz system that fracrelax._kernels solves in O(n log n).
 
-convergence_sweep runs one scheme at the steps report.sweep_steps plans and
+convergence_sweep runs one scheme at the steps report.sweep_steps lists and
 hands the runs' errors to report.sweep.  It builds one Tabulation per sweep
 (tabulate), which holds what the runs share: the forcing and exact solution,
 evaluated once on the sorted union of every run's nodes; each run's node
@@ -16,10 +16,11 @@ is max_error's against the tabulated exact values.  The union is built
 without np.unique, whose first use imports numpy.ma, about 10 ms of every
 fresh process.
 
-check_coarsest_run is the one place that decides whether a run takes the
-steps its scheme needs.  convergence_sweep calls it before tabulate
-evaluates anything, for the sweep's coarsest run at 2h, and
-cli.emit_solution_curve for its run at h.
+plan_runs is the one place that turns steps into run sizes n = X/h and
+refuses a grid no run can use: a step that is not finite and positive, a
+run of more than MAX_STEPS steps, and a coarsest run too coarse for its
+scheme.  convergence_sweep, cli.emit_solution_curve and the table 1
+quadrature sweep take their n from it, before anything is evaluated.
 
 solve and convergence_sweep also take a sequence of problems on the same
 [0, X], such as a table's columns.  Each run then solves all of them in one
@@ -43,7 +44,7 @@ from .fracint import (
     power_weights,
     scheme_coefficients,
 )
-from .report import ConvergenceReport, sweep, sweep_steps
+from .report import ConvergenceReport, check_steps, sweep, sweep_steps
 from .specfun import gamma
 
 __all__ = [
@@ -51,7 +52,8 @@ __all__ = [
     "solve",
     "solve_with_coefficients",
     "fewest_steps",
-    "check_coarsest_run",
+    "MAX_STEPS",
+    "plan_runs",
     "max_error",
     "Tabulation",
     "tabulate",
@@ -81,24 +83,36 @@ def fewest_steps(startup_zeros: int) -> int:
     return startup_zeros + 2
 
 
-def check_coarsest_run(X: float, tags: Sequence[str], h: float, sweep: bool = False) -> None:
-    """Refuse a step h whose coarsest run on [0, X] takes fewer steps than the
-    most demanding scheme of tags needs (fewest_steps), naming it.  A
-    sweep's coarsest run is the first of report.sweep_steps([h]), at 2h, a
-    single run's is at h.  sweep_steps refuses an h that is not finite and
-    positive, and scheme_coefficients' check an unknown tag; every refusal
-    is a ValueError, raised before anything is evaluated."""
-    coarsest = sweep_steps([h])[0 if sweep else 1]
-    n = round(X / coarsest)
-    # most demanding first, so that a refusal names it; the key refuses an
-    # unknown tag
-    for tag in sorted(tags, key=_startup_zeros, reverse=True):
-        need = fewest_steps(STARTUP_ZEROS[tag])
-        if n < need:
-            run = f"a sweep's first run, at 2h = {coarsest:g}, takes" if sweep else "it takes"
-            raise ValueError(f"step {h:g} is too coarse for [0, {X:g}]: {run} {n} "
-                             f"step{'' if n == 1 else 's'}, "
-                             f"and scheme {tag} needs at least {need}")
+# the most steps n = X/h one run may take (the README's largest documented
+# solve, about 0.4 s)
+MAX_STEPS = 2**20
+
+
+def plan_runs(X: float, tags: Sequence[str], hs, sweep: bool = False) -> list[int]:
+    """The steps n = round(X/h) of each run on [0, X]: of a sweep over hs,
+    at report.sweep_steps(hs), or else one run per step of hs, coarsest
+    first.  Refused,
+    each by a ValueError raised before anything is allocated or evaluated:
+    steps that sweep_steps or check_steps refuses; a finest run whose X/h
+    is not finite or more than MAX_STEPS; an unknown tag (the check
+    scheme_coefficients makes); and a coarsest run, at 2h for a sweep, with
+    fewer steps than the most demanding scheme of tags needs
+    (fewest_steps), which the sentence names."""
+    steps = sweep_steps(hs) if sweep else check_steps(hs)
+    X = float(X)  # a numpy X would warn where X/h overflows
+    if not X / steps[-1] <= MAX_STEPS:
+        raise ValueError(f"step {steps[-1]:g} takes {X / steps[-1]:.3g} steps on [0, {X:g}], "
+                         f"more than {MAX_STEPS}")
+    ns = [round(X / h) for h in steps]
+    # the first of the most demanding tags; the key refuses an unknown tag
+    tag = max(tags, key=_startup_zeros, default=None)
+    need = 0 if tag is None else fewest_steps(STARTUP_ZEROS[tag])
+    n = ns[0]
+    if n < need:
+        run = f"a sweep's first run, at 2h = {steps[0]:g}, takes" if sweep else "it takes"
+        raise ValueError(f"step {hs[0]:g} is too coarse for [0, {X:g}]: {run} {n} "
+                         f"step{'' if n == 1 else 's'}, and scheme {tag} needs at least {need}")
+    return ns
 
 
 def solve_with_coefficients(forcing: Callable, coeffs: SchemeCoefficients, n: int,
@@ -260,10 +274,10 @@ def tabulate(problems, ns) -> Tabulation:
 def convergence_sweep(problem, tag: str, hs,
                       **report_fields) -> ConvergenceReport | list[ConvergenceReport]:
     """Convergence report of the scheme `tag` on problem over the decreasing
-    steps hs, built by report.sweep from the errors of the runs at
-    report.sweep_steps(hs); the error of a run is max_error's, with the
-    scheme's startup nodes skipped.  report_fields (label, alpha, expected)
-    pass to sweep, with scheme=tag.
+    steps hs, built by report.sweep from the errors of the runs that
+    plan_runs plans at report.sweep_steps(hs); the error of a run is
+    max_error's, with the scheme's startup nodes skipped.  report_fields
+    (label, alpha, expected) pass to sweep, with scheme=tag.
 
     The sweep builds one Tabulation (tabulate) of the grids of all its runs.
     Each run is one solve call on it, and each grid's error is taken against
@@ -278,8 +292,7 @@ def convergence_sweep(problem, tag: str, hs,
     problems = [problem] if single else problem
     fields = [report_fields] if single else [
         {k: v[i] for k, v in report_fields.items()} for i in range(len(problems))]
-    ns = [round(problems[0].X / h) for h in sweep_steps(hs)]
-    check_coarsest_run(problems[0].X, [tag], hs[0], sweep=True)
+    ns = plan_runs(problems[0].X, [tag], hs, sweep=True)
     tab = tabulate(problems, ns)
     skip = STARTUP_ZEROS[tag]
     runs = []  # runs[j][i]: problem i's error at the run of ns[j] steps

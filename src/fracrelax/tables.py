@@ -23,9 +23,9 @@ import numpy as np
 
 from .fracint import EndpointDerivatives, UniformGrid, corrected_trapezoid_K
 from .problems import BenchmarkProblem, make_problem
-from .report import ConvergenceReport, sweep, sweep_steps
+from .report import ConvergenceReport, sweep
 # solve stays bound here: perfbench's tracer tests read tables.solve.
-from .solver import convergence_sweep, solve  # noqa: F401
+from .solver import convergence_sweep, plan_runs, solve  # noqa: F401
 from .specfun import gamma, mittag_leffler
 
 __all__ = [
@@ -277,8 +277,8 @@ def _reproduce_table1() -> list[ConvergenceReport]:
         deriv = case.derivatives(case.X)
         target = case.exact(case.alpha, case.X)
         errors = []
-        for h in sweep_steps(_TABLE1_H):
-            grid = UniformGrid.sample(case.f, case.X, round(case.X / h))
+        for n in plan_runs(case.X, [], _TABLE1_H, sweep=True):
+            grid = UniformGrid.sample(case.f, case.X, n)
             errors.append(abs(corrected_trapezoid_K(grid, case.alpha, deriv, order=4) - target))
         reports.append(sweep(errors, _TABLE1_H, label=case.label, scheme="trapezoid-4",
                              alpha=case.alpha, expected=list(ref)))

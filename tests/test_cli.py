@@ -16,6 +16,7 @@ import pytest
 
 from fracrelax import cli, solver
 from fracrelax.problems import make_exp_problem, make_power_problem
+from fracrelax.report import sweep_steps
 from fracrelax.solver import convergence_sweep, solve
 from fracrelax.tables import TABLE_IDS
 from test_problems import make_case, residual_converges
@@ -377,10 +378,23 @@ class TestRejectedStepsAndSizes:
         assert err.count("\n") == 1
         assert err.startswith("fracrelax: error: ")
 
-    def test_step_limit(self):
-        cli._check_step(1.0 / cli.MAX_STEPS, 1.0)
-        with pytest.raises(ValueError, match="more than 1048576"):
-            cli._check_step(1.0 / cli.MAX_STEPS, 1.0 + 1e-9)
+    @pytest.mark.parametrize("call,message", [
+        (lambda p: convergence_sweep(p, "A", [5e-324], label="x", alpha=0.5),
+         "step 4.94066e-324 takes inf steps on [0, 1], more than 1048576"),
+        (lambda p: convergence_sweep(p, "A", [1e-300], label="x", alpha=0.5),
+         "step 1e-300 takes 1e+300 steps on [0, 1], more than 1048576"),
+        (lambda p: cli.emit_solution_curve(p, ["A"], 5e-324),
+         "step 4.94066e-324 takes inf steps on [0, 1], more than 1048576"),
+        (lambda p: cli.emit_solution_curve(p, [], 1e-300),
+         "step 1e-300 takes 1e+300 steps on [0, 1], more than 1048576"),
+        (lambda p: sweep_steps([8.98846567431158e307]),
+         "step 8.98847e+307 is too large for a sweep: its first run, at 2h, "
+         "leaves the double range"),
+    ], ids=["sweep 5e-324", "sweep 1e-300", "curve 5e-324", "curve 1e-300", "sweep_steps"])
+    def test_library_refuses_before_tabulating(self, monkeypatch, call, message):
+        forbid_tabulation(monkeypatch)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(make_power_problem(4, 0.5))
 
     @pytest.mark.parametrize("case", [
         (("curve", "--X", "1", "--h", "0.7"),

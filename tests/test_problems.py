@@ -132,6 +132,18 @@ class TestExpProblem:
         with pytest.raises(ValueError):
             make_exp_problem(13, 0.5)
 
+    @pytest.mark.parametrize("m,alpha", [(0, 1e300), (0, 171.0), (12, 160.0)])
+    def test_overflowing_forcing_gamma_is_refused(self, m, alpha):
+        # the forcing divides by Gamma(k+1+alpha), k = 0..m, past the double
+        # range from 171.62 on
+        with pytest.raises(ValueError, match=f"^exp problem requires Gamma\\(m\\+1\\+alpha\\) "
+                                             f"within the double range, got m={m}"):
+            make_exp_problem(m, alpha)
+
+    def test_largest_forcing_gamma_is_accepted(self):
+        prob = make_exp_problem(0, 170.5)
+        assert np.all(np.isfinite(prob.forcing(np.linspace(0.0, 1.0, 5))))
+
     @pytest.mark.filterwarnings("error")
     def test_largest_X(self):
         # F approaches 2 e^x: finite up to log(DBL_MAX) - 1, refused past it

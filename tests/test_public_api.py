@@ -25,7 +25,7 @@ XS = st.one_of(st.floats(1e-3, 50.0), st.sampled_from([1e-300, 700.0, 1e6]),
 TAGS = st.sampled_from((*ORDER_TAGS, "A9", ""))
 # messages of numpy and of Python itself, none of which is the package's own
 FOREIGN = ("Number of samples", "cannot convert float", "math domain error", "math range error",
-           "division by zero", "arg is an empty sequence")
+           "division by zero", "arg is an empty sequence", "Maximum allowed size")
 
 
 def _sweep(problem_args, tag, hs):
@@ -83,11 +83,13 @@ def problem_args(draw):
 
 
 def steps(X):
-    """A step of a grid of at most MOST_STEPS steps on [0, X], or one that
-    is not finite and positive."""
+    """A step of a grid of at most MOST_STEPS steps on [0, X], one so small
+    that X/h is past any grid a run may take (1e-300) or overflows (5e-324),
+    or one that is not finite and positive."""
     base = X if 0.0 < X < math.inf else 1.0
     return st.one_of(st.integers(1, MOST_STEPS).map(lambda k: base / k),
-                     st.floats(base / MOST_STEPS, 4.0 * base), NOT_FINITE_AND_POSITIVE)
+                     st.floats(base / MOST_STEPS, 4.0 * base),
+                     st.sampled_from([1e-300, 5e-324]), NOT_FINITE_AND_POSITIVE)
 
 
 @st.composite
@@ -125,10 +127,9 @@ def calls(draw):
 @example(call=("emit_solution_curve", (("power", 1.0, 1e300, 1.0), [], 0.5)))
 @example(call=("gamma_ratio", (1.0, math.nan)))
 @example(call=("gamma_ratio", (2.5599833278516387e+305, 1.0)))
-# a fault it found and that is still open: the sweep's first run, at 2h,
-# leaves the double range, and sweep_steps returns it as inf
-@example(call=("sweep_steps", ([8.98846567431158e+307],))).xfail(
-    raises=AssertionError, reason="sweep_steps returns 2*hs[0] = inf")
+@example(call=("sweep_steps", ([8.98846567431158e+307],)))
+@example(call=("convergence_sweep", (("power", 4.0, 0.5, 1.0), "A", [5e-324])))
+@example(call=("emit_solution_curve", (("power", 4.0, 0.5, 1.0), ["A"], 5e-324)))
 def test_answers_finite_values_or_refuses_in_its_own_words(call):
     """Domain: each of solve, convergence_sweep, emit_solution_curve,
     sweep_steps, make_problem, mittag_leffler, zeta and gamma_ratio, drawn
@@ -141,8 +142,8 @@ def test_answers_finite_values_or_refuses_in_its_own_words(call):
     * solve: a tag of ORDER_TAGS, "A9" or "", and n in -2..4096.
     * convergence_sweep: one such tag and 0 to 3 steps; emit_solution_curve:
       0 to 3 such tags and one step.  A step is X/k, k in 1..4096, a float
-      in [X/4096, 4X], or not finite and positive, so no grid takes more
-      than 4096 steps.
+      in [X/4096, 4X], 1e-300 or 5e-324 (past solver.MAX_STEPS), or not
+      finite and positive, so no accepted grid takes more than 4096 steps.
     * sweep_steps: 0 to 4 floats of any value.
     * mittag_leffler: alpha in [0.05, 3], beta in [-5, 20] and z in
       [-1e4, 1e3], each also not finite (alpha also not positive), z a

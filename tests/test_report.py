@@ -73,6 +73,13 @@ class TestAssembly:
         with pytest.raises(ValueError, match=f"steps must be finite and positive, got {bad}$"):
             sweep_steps(hs)
 
+    def test_first_run_past_the_double_range_is_refused(self):
+        assert sweep_steps([8.98846567431157e307]) == [1.797693134862314e308,
+                                                       8.98846567431157e307]
+        with pytest.raises(ValueError, match=r"^step 8.98847e\+307 is too large for a sweep: "
+                                             r"its first run, at 2h, leaves the double range$"):
+            sweep_steps([8.98846567431158e307, 1.0])
+
     def test_order_is_checked_before_sign(self):
         with pytest.raises(ValueError, match="strictly decreasing"):
             sweep_steps([0.0, 0.1])

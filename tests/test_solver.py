@@ -15,6 +15,7 @@ from fracrelax.fracint import STARTUP_ZEROS, SchemeCoefficients, alpha_in_range,
 from fracrelax.problems import make_exp_problem, make_ml_problem, make_power_problem
 from fracrelax.report import sweep, sweep_steps
 from fracrelax.solver import (
+    MAX_STEPS,
     DegenerateDenominatorError,
     NodeNotTabulatedError,
     NonFiniteSolutionError,
@@ -24,6 +25,7 @@ from fracrelax.solver import (
     convergence_sweep,
     local_truncation_coefficients,
     max_error,
+    plan_runs,
     solve,
     solve_with_coefficients,
     tabulate,
@@ -231,6 +233,48 @@ class TestConvergenceSweep:
                           ([problem, problem], {"label": ["x", "y"], "alpha": [0.5, 0.5]})):
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 convergence_sweep(p, tag, hs, **fields)
+
+
+class TestPlanRuns:
+    def test_sizes_of_a_sweep_and_of_one_run(self):
+        assert plan_runs(1.0, ["A4"], [0.1, 0.05], sweep=True) == [5, 10, 20]
+        assert plan_runs(2.0, ["A", "A1"], [0.1]) == [20]
+        assert plan_runs(1.0, [], [0.3, 0.2], sweep=True) == [2, 3, 5]
+
+    def test_step_limit(self):
+        assert plan_runs(1.0, [], [1.0 / MAX_STEPS]) == [MAX_STEPS]
+        with pytest.raises(ValueError, match="more than 1048576"):
+            plan_runs(1.0 + 1e-9, [], [1.0 / MAX_STEPS])
+
+    def test_the_finest_run_is_held_to_the_limit(self):
+        assert plan_runs(1.0, ["A"], [0.25, 1.0 / MAX_STEPS], sweep=True)[-1] == MAX_STEPS
+        with pytest.raises(ValueError, match=r"^step 1e-07 takes 1e\+07 steps on \[0, 1\]"):
+            plan_runs(1.0, ["A"], [1e-6, 1e-7], sweep=True)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("X,h", [(1.0, 5e-324), (np.float64(1.0), 5e-324), (1.0, 1e-300),
+                                     (math.inf, 0.1), (math.nan, 0.1)])
+    @pytest.mark.parametrize("sweep", [False, True])
+    def test_steps_past_the_limit_are_refused(self, X, h, sweep):
+        with pytest.raises(ValueError, match=f"^step {h:g} takes .* steps on "
+                                             f"\\[0, {X:g}\\], more than 1048576$"):
+            plan_runs(X, ["A"], [h], sweep=sweep)
+
+    def test_a_single_step_past_half_the_double_range(self):
+        # one run at h is planned; a sweep's first run, at 2h, is not
+        assert plan_runs(1.79e308, ["A"], [9e307]) == [2]
+        with pytest.raises(ValueError, match="at 2h, leaves the double range"):
+            plan_runs(1.79e308, ["A"], [9e307], sweep=True)
+
+    @pytest.mark.parametrize("hs,message", [
+        ([], "empty h list"),
+        ([math.nan], "steps must be finite and positive, got nan"),
+        ([0.0], "steps must be finite and positive, got 0"),
+        ([0.1, 0.2], "h list must be strictly decreasing"),
+    ])
+    def test_unusable_step_lists_are_refused(self, hs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            plan_runs(1.0, ["A"], hs)
 
 
 class TestTabulation:
